@@ -14,13 +14,18 @@ import (
 	"repro/internal/workload"
 )
 
-func benchOpts(i int) experiments.Options {
-	return experiments.Options{Seed: 0x5eed + uint64(i), Quick: true}
+// benchOpts returns iteration i's options. Every iteration of one
+// benchmark draws its machines from the same pool, as the runner's sweep
+// workers do, so the figures measure recycled machines rather than
+// system.New.
+func benchOpts(pool *system.Pool, i int) experiments.Options {
+	return experiments.Options{Seed: 0x5eed + uint64(i), Quick: true, Machines: pool}
 }
 
 func BenchmarkFig3UncoreFreqVsUtilization(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3(benchOpts(i))
+		res, err := experiments.Fig3(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -30,8 +35,9 @@ func BenchmarkFig3UncoreFreqVsUtilization(b *testing.B) {
 }
 
 func BenchmarkFig4StallProportion(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig4(benchOpts(i))
+		res, err := experiments.Fig4(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -40,8 +46,9 @@ func BenchmarkFig4StallProportion(b *testing.B) {
 }
 
 func BenchmarkFig5RampUp(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig5(benchOpts(i))
+		res, err := experiments.Fig5(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,8 +59,9 @@ func BenchmarkFig5RampUp(b *testing.B) {
 }
 
 func BenchmarkFig6RampDown(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(benchOpts(i))
+		res, err := experiments.Fig6(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -64,8 +72,9 @@ func BenchmarkFig6RampDown(b *testing.B) {
 }
 
 func BenchmarkFig7CrossSocket(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(benchOpts(i))
+		res, err := experiments.Fig7(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,8 +84,9 @@ func BenchmarkFig7CrossSocket(b *testing.B) {
 }
 
 func BenchmarkSec32StallRatios(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Sec32(benchOpts(i))
+		res, err := experiments.Sec32(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,8 +95,9 @@ func BenchmarkSec32StallRatios(b *testing.B) {
 }
 
 func BenchmarkFig8LatencyVsFrequency(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(benchOpts(i))
+		res, err := experiments.Fig8(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,8 +106,9 @@ func BenchmarkFig8LatencyVsFrequency(b *testing.B) {
 }
 
 func BenchmarkFig9Transmission(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(benchOpts(i))
+		res, err := experiments.Fig9(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,8 +117,9 @@ func BenchmarkFig9Transmission(b *testing.B) {
 }
 
 func BenchmarkFig10CapacityCrossCore(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(benchOpts(i))
+		res, err := experiments.Fig10(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,8 +128,9 @@ func BenchmarkFig10CapacityCrossCore(b *testing.B) {
 }
 
 func BenchmarkFig10CapacityCrossProcessor(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(benchOpts(i))
+		res, err := experiments.Fig10(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,8 +139,9 @@ func BenchmarkFig10CapacityCrossProcessor(b *testing.B) {
 }
 
 func BenchmarkTable2StressCapacity(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Tab2(benchOpts(i))
+		res, err := experiments.Tab2(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,8 +150,9 @@ func BenchmarkTable2StressCapacity(b *testing.B) {
 }
 
 func BenchmarkTable3Matrix(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Tab3(benchOpts(i))
+		res, err := experiments.Tab3(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,8 +169,9 @@ func BenchmarkTable3Matrix(b *testing.B) {
 }
 
 func BenchmarkFig11FileSize(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig11(benchOpts(i))
+		res, err := experiments.Fig11(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,8 +180,9 @@ func BenchmarkFig11FileSize(b *testing.B) {
 }
 
 func BenchmarkFig12Fingerprint(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig12(benchOpts(i))
+		res, err := experiments.Fig12(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,8 +191,9 @@ func BenchmarkFig12Fingerprint(b *testing.B) {
 }
 
 func BenchmarkSec61Countermeasures(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Sec61(benchOpts(i))
+		res, err := experiments.Sec61(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -232,8 +251,9 @@ func BenchmarkMachineEpoch(b *testing.B) {
 }
 
 func BenchmarkSec61EnergyTradeoff(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Sec61e(benchOpts(i))
+		res, err := experiments.Sec61e(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,8 +266,9 @@ func BenchmarkSec61EnergyTradeoff(b *testing.B) {
 }
 
 func BenchmarkFig10xVariants(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10x(benchOpts(i))
+		res, err := experiments.Fig10x(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -256,8 +277,9 @@ func BenchmarkFig10xVariants(b *testing.B) {
 }
 
 func BenchmarkAblations(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Ablate(benchOpts(i))
+		res, err := experiments.Ablate(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -266,8 +288,9 @@ func BenchmarkAblations(b *testing.B) {
 }
 
 func BenchmarkSec61fFingerprintDefence(b *testing.B) {
+	pool := &system.Pool{}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Sec61f(benchOpts(i))
+		res, err := experiments.Sec61f(benchOpts(pool, i))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -95,6 +95,7 @@ func Cases() []Case {
 		{Name: "mesh-contention", ZeroAlloc: true, Fn: benchMeshContention},
 		{Name: "cache-l1-hit", ZeroAlloc: true, Fn: benchCacheL1Hit},
 		{Name: "cache-llc-hit", ZeroAlloc: true, Fn: benchCacheLLCHit},
+		{Name: "access-timed-llc", ZeroAlloc: true, Fn: benchAccessTimedLLC},
 		{Name: "cache-flush", ZeroAlloc: true, Fn: benchCacheFlush},
 		{Name: "machine-quantum", ZeroAlloc: true, Fn: benchMachineQuantum},
 		{Name: "machine-epoch", ZeroAlloc: true, Fn: benchMachineEpoch},
@@ -241,6 +242,51 @@ func benchCacheLLCHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cc.Access(0, lines[i%len(lines)])
 	}
+}
+
+// benchAccessTimedLLC times one Ctx.TimedAccess that hits the LLC: the
+// receiver's Listing 3 load through the whole cache → mesh → timing path,
+// where cache-llc-hit covers the cache layer alone. The machine is a
+// default one recycled through a Pool, so its cache arrays are in the
+// post-Reset state the runner's trials see. All b.N loads run inside one
+// quantum's Step, which keeps quantum stepping out of the number.
+func benchAccessTimedLLC(b *testing.B) {
+	pool := &system.Pool{}
+	cfg := system.DefaultConfig()
+	pool.Put(pool.Get(cfg))
+	m := pool.Get(cfg)
+	defer pool.Put(m)
+	const core = 9
+	slice, ok := m.Socket(0).Die.SliceAtHops(core, 2)
+	if !ok {
+		b.Fatal("no slice 2 hops from the receiver core")
+	}
+	// More same-L2-set lines than the L2 has ways: every load misses the
+	// private caches and is served by the home slice.
+	lines, err := memsys.EvictionList(m.Socket(0).Hier, 0, memsys.NewAllocator(), 10, slice, 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.Spawn("bench-timed-llc", 0, core, 0, system.WorkloadFunc(func(ctx *system.Ctx) system.Activity {
+		for r := 0; r < 2; r++ {
+			for _, l := range lines {
+				ctx.Access(l)
+			}
+		}
+		for _, l := range lines {
+			if lv := ctx.Access(l).Level; lv != cache.LevelLLC {
+				b.Fatalf("warm eviction-list load served by %v, want LLC", lv)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ctx.TimedAccess(lines[i%len(lines)])
+		}
+		b.StopTimer()
+		return system.Activity{}
+	}))
+	m.Run(cfg.Quantum)
 }
 
 func benchCacheFlush(b *testing.B) {

@@ -212,18 +212,15 @@ func (h *Hierarchy) llcInsert(d Domain, line Line) {
 	}
 }
 
-// llcLookup checks for line in its home slice for domain d, updating LRU.
-func (h *Hierarchy) llcLookup(d Domain, line Line) (slice int, hit bool) {
+// llcTake drops line from its home slice for domain d if present: an LLC
+// hit moves the line up to the L2 (non-inclusive). It makes no LRU update
+// for the hit, which would be discarded with the line; skipping it leaves
+// the relative order of the stamps of resident lines, and so every later
+// victim choice, unchanged.
+func (h *Hierarchy) llcTake(d Domain, line Line) (slice int, hit bool) {
 	slice = h.SliceOf(d, line)
 	set := h.LLCSetOf(d, line)
-	return slice, h.slices[slice].Lookup(set, line)
-}
-
-// llcRemove drops line from its home slice (non-inclusive move to L2).
-func (h *Hierarchy) llcRemove(d Domain, line Line) {
-	slice := h.SliceOf(d, line)
-	set := h.LLCSetOf(d, line)
-	h.slices[slice].Remove(set, line)
+	return slice, h.slices[slice].Remove(set, line)
 }
 
 // LLCContains probes for line without updating replacement state.
@@ -238,9 +235,7 @@ func (h *Hierarchy) LLCContains(d Domain, line Line) bool {
 func (h *Hierarchy) LLCOccupancy() int {
 	n := 0
 	for _, s := range h.slices {
-		for set := 0; set < s.Sets(); set++ {
-			n += s.Occupancy(set)
-		}
+		n += s.Len()
 	}
 	return n
 }
@@ -278,6 +273,9 @@ func (h *Hierarchy) Reset() {
 func (h *Hierarchy) Flush(line Line) bool {
 	present := false
 	for _, cc := range h.cores {
+		if cc.l2.Len() == 0 {
+			continue // an empty L2 implies an empty L1 (inclusion)
+		}
 		if cc.l1.Remove(int(uint64(line)&uint64(h.geom.L1Sets-1)), line) {
 			present = true
 		}
@@ -345,18 +343,18 @@ func (cc *CoreCaches) Access(d Domain, line Line) AccessResult {
 		cc.fillL1(line)
 		return AccessResult{Level: LevelL2, Slice: cc.h.SliceOf(d, line)}
 	}
-	slice, hit := cc.h.llcLookup(d, line)
+	slice, hit := cc.h.llcTake(d, line)
 	if hit {
-		cc.h.llcRemove(d, line) // non-inclusive: promote to L2
 		cc.fillL2(d, line)
 		cc.fillL1(line)
 		return AccessResult{Level: LevelLLC, Slice: slice}
 	}
 	// Directory check: another core's private cache may hold the line
 	// (non-inclusive LLC keeps a directory of private-cache contents);
-	// the home slice forwards the request as a snoop.
+	// the home slice forwards the request as a snoop. A core whose L2 is
+	// empty cannot hold it (its L1 is a subset of its L2).
 	for _, o := range cc.h.cores {
-		if o == cc {
+		if o == cc || o.l2.Len() == 0 {
 			continue
 		}
 		if o.l2.Remove(o.L2SetOf(line), line) {

@@ -39,7 +39,7 @@ func renderOnce(t *testing.T, id string) []byte {
 // files from the test failure output or re-running the generator in the
 // PR that introduced them.
 func TestGoldenOutputs(t *testing.T) {
-	for _, id := range []string{"fig3", "sync", "rel"} {
+	for _, id := range []string{"fig3", "sync", "rel", "tab3", "sec61f"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
@@ -61,8 +61,14 @@ func TestGoldenOutputs(t *testing.T) {
 // The second pooled run exercises recycled machines for every trial, so
 // any state Machine.Reset fails to restore — a stale ticker, a replayed
 // rng stream out of order, a dirty cache set — diverges the output.
+//
+// tab3 recycles one machine from cell to cell, so every column's
+// environment (defences, way and slice partitions, TDM, stress threads)
+// must be undone by Reset before the next cell; sec61f's second round
+// starts its unrestricted visits on machines that carried the
+// restricted-range defence; fig12 recycles a machine per site visit.
 func TestPooledRunsIdentical(t *testing.T) {
-	for _, id := range []string{"fig3", "sync", "rel", "sec61"} {
+	for _, id := range []string{"fig3", "sync", "rel", "sec61", "tab3", "sec61f", "fig12"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()

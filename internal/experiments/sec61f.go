@@ -41,21 +41,28 @@ func Sec61f(opts Options) (Sec61fResult, error) {
 			return sidechannel.FingerprintReport{}, err
 		}
 		seed := opts.Seed
+		// Visits run strictly one at a time, so the factory can recycle
+		// the previous visit's machine before building the next; Reset
+		// lifts the range restriction along with the rest of the state.
+		var prev *system.Machine
 		mk := func() *system.Machine {
+			opts.Release(prev)
 			seed++
 			cfg := system.DefaultConfig()
 			cfg.Seed = seed
-			m := bindMachine(system.New(cfg), opts)
+			prev = bindMachine(opts.Machines.Get(cfg), opts)
 			if restrict {
-				for s := range m.Sockets() {
-					if err := defense.Deploy(defense.RestrictedRange, m, s, 0); err != nil {
+				for s := range prev.Sockets() {
+					if err := defense.Deploy(defense.RestrictedRange, prev, s, 0); err != nil {
 						panic(err)
 					}
 				}
 			}
-			return m
+			return prev
 		}
-		return sidechannel.Fingerprint(mk, sidechannel.Sites(nsites), train, test)
+		rep, err := sidechannel.Fingerprint(mk, sidechannel.Sites(nsites), train, test)
+		opts.Release(prev)
+		return rep, err
 	}
 	def, err := eval(false)
 	if err != nil {

@@ -140,6 +140,7 @@ func Tab3(opts Options) (Tab3Result, error) {
 			env.Apply(m)
 			bits := channel.RandomBits(m.Rand(sim.HashString(ch.Name()+col)), tab3Bits(opts))
 			r, err := ch.Run(m, env, bits)
+			opts.Release(m)
 			if err != nil {
 				return Tab3Result{}, fmt.Errorf("%s under %s: %w", ch.Name(), col, err)
 			}
@@ -157,6 +158,7 @@ func Tab3(opts Options) (Tab3Result, error) {
 		env.Apply(m)
 		bits := channel.RandomBits(m.Rand(sim.HashString("UF-variation"+col)), tab3Bits(opts))
 		r, err := runUFVariationUnder(m, env, bits)
+		opts.Release(m)
 		if err != nil {
 			return Tab3Result{}, fmt.Errorf("UF-variation under %s: %w", col, err)
 		}
@@ -165,12 +167,15 @@ func Tab3(opts Options) (Tab3Result, error) {
 	return res, nil
 }
 
-// tab3Machine builds a platform with the requested interconnect.
+// tab3Machine returns a platform with the requested interconnect from the
+// run's machine pool. Each cell releases its machine once it has run;
+// Reset removes the cell's defences and stress threads before the next
+// cell deploys its own.
 func tab3Machine(opts Options, kind mesh.Kind) *system.Machine {
 	cfg := system.DefaultConfig()
 	cfg.Seed = opts.Seed
 	cfg.Interconnect = kind
-	return bindMachine(system.New(cfg), opts)
+	return bindMachine(opts.Machines.Get(cfg), opts)
 }
 
 func init() {

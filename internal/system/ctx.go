@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/sim"
+	"repro/internal/timing"
 	"repro/internal/topo"
 )
 
@@ -52,49 +53,60 @@ func (c *Ctx) Rng() *sim.Rand { return c.t.rng }
 // CoreFreq returns the core's operating frequency.
 func (c *Ctx) CoreFreq() sim.Freq { return c.t.Core.Freq }
 
+// Timing returns the machine's latency model. It points into the machine
+// configuration, so loops that consult it per quantum or per load copy
+// nothing; callers must not modify it.
+func (c *Ctx) Timing() *timing.Params { return &c.m.cfg.Timing }
+
 // UncoreFreq returns the socket's current uncore frequency.
 func (c *Ctx) UncoreFreq() sim.Freq { return c.t.Sock.Gov.Current() }
 
-// hopsFor returns the mesh distance from the thread's core to the home
-// slice, and for misses onward to the nearest memory controller.
-func (c *Ctx) hopsFor(res cache.AccessResult) int {
-	die := c.t.Sock.Die
-	sliceTile := die.SliceCoord(res.Slice)
-	h := c.t.Sock.Mesh.Hops(c.t.Core.Tile, sliceTile)
+// hopsFor returns the mesh distance of an access whose home slice sits at
+// sliceTile, hops away from the thread's core: the core-to-slice trip,
+// and for misses onward to the nearest memory controller.
+func (c *Ctx) hopsFor(res cache.AccessResult, sliceTile topo.Coord, hops int) int {
 	if res.Level == cache.LevelMem {
 		best := -1
-		for _, imc := range die.IMCs() {
+		for _, imc := range c.t.Sock.Die.IMCs() {
 			d := c.t.Sock.Mesh.Hops(sliceTile, imc)
 			if best == -1 || d < best {
 				best = d
 			}
 		}
 		if best > 0 {
-			h += best
+			hops += best
 		}
 	}
-	return h
+	return hops
 }
 
 // access performs one load through the functional hierarchy and returns
-// its sampled latency in core cycles along with the result.
+// its sampled latency in core cycles along with the result. An access that
+// leaves the private caches resolves its home slice's tile and hop count
+// once and shares them between latency, contention and traffic
+// accounting; L1 and L2 hits never cross the mesh and need neither.
 func (c *Ctx) access(line cache.Line) (float64, cache.AccessResult) {
 	t := c.t
+	cfg := &c.m.cfg
 	res := t.Caches.Access(t.Domain, line)
-	hops := c.hopsFor(res)
+	var hops int
 	var contention float64
 	if res.Level >= cache.LevelLLC {
-		contention = t.Sock.Mesh.ContentionCycles(t.Domain, t.Core.Tile, t.Sock.Die.SliceCoord(res.Slice))
-		t.Sock.Mesh.AddTraffic(t.Domain, t.Core.Tile, t.Sock.Die.SliceCoord(res.Slice), 1)
+		mesh := t.Sock.Mesh
+		sliceTile := t.Sock.Die.SliceCoord(res.Slice)
+		sliceHops := mesh.Hops(t.Core.Tile, sliceTile)
+		hops = c.hopsFor(res, sliceTile, sliceHops)
+		contention = mesh.ContentionCycles(t.Domain, t.Core.Tile, sliceTile)
+		mesh.AddTraffic(t.Domain, t.Core.Tile, sliceTile, 1)
 		c.acc.LLCAccesses++
-		c.acc.Pressure += c.m.cfg.UFS.DistanceWeight(t.Sock.Mesh.Hops(t.Core.Tile, t.Sock.Die.SliceCoord(res.Slice)))
+		c.acc.Pressure += cfg.UFS.DistanceWeight(sliceHops)
 	}
 	// Individual accesses sample the instantaneous uncore frequency,
 	// which inside the idle band wobbles faster than a governor epoch.
 	fu := t.Sock.Gov.SampleFreq(t.rng)
-	cycles := c.m.cfg.Timing.SampleCycles(res.Level, c.CoreFreq(), fu, hops, contention, t.rng)
+	cycles := cfg.Timing.SampleCycles(res.Level, c.CoreFreq(), fu, hops, contention, t.rng)
 	if res.Level >= cache.LevelLLC {
-		cycles += t.drift.Sample(c.m.cfg.Timing, c.Now(), t.rng)
+		cycles += t.drift.Sample(&cfg.Timing, c.Now(), t.rng)
 		if cycles < 1 {
 			cycles = 1
 		}
