@@ -303,6 +303,9 @@ func benchCacheFlush(b *testing.B) {
 
 // busyMachine builds the mixed-load machine the machine-level cases
 // advance: traffic threads, a stalling thread, and a measurement probe.
+// It runs one epoch before returning, so the cache arrays the threads
+// fill have allocated their storage (on first insert) and the timed loop
+// sees the steady state the ZeroAlloc gate is about.
 func busyMachine(b *testing.B) *system.Machine {
 	m := system.New(system.DefaultConfig())
 	for c := 0; c < 6; c++ {
@@ -319,6 +322,7 @@ func busyMachine(b *testing.B) *system.Machine {
 		b.Fatal(err)
 	}
 	m.Spawn("bench-probe", 0, 9, 0, &workload.Measure{Lines: lines, PerQuantum: 20})
+	m.Run(m.Config().UFS.Epoch)
 	return m
 }
 

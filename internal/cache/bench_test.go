@@ -21,7 +21,8 @@ func benchLines(geom cache.Geometry, set, n int) []cache.Line {
 }
 
 // BenchmarkSetAssocLookupHit times a hit in a warm set: the single-pass
-// scan over the contiguous way array plus the LRU stamp update.
+// scan over the set's tags plus the move of the hit way to the front of
+// the set's recency order.
 func BenchmarkSetAssocLookupHit(b *testing.B) {
 	c := cache.NewSetAssoc(1024, 16)
 	lines := benchLines(cache.DefaultGeometry(1), 3, 16)
@@ -38,7 +39,7 @@ func BenchmarkSetAssocLookupHit(b *testing.B) {
 }
 
 // BenchmarkSetAssocInsertEvict times the miss path: inserting into a full
-// set, which forces an LRU victim scan and an eviction every call.
+// set, which evicts the set's LRU way on every call.
 func BenchmarkSetAssocInsertEvict(b *testing.B) {
 	c := cache.NewSetAssoc(1024, 16)
 	lines := benchLines(cache.DefaultGeometry(1), 3, 64)

@@ -78,9 +78,9 @@ func TestSetAssocRemoveAndOccupancy(t *testing.T) {
 		t.Error("double remove succeeded")
 	}
 	c.Insert(0, 9)
-	c.Flush()
+	c.Reset()
 	if c.Occupancy(0) != 0 {
-		t.Error("flush left lines behind")
+		t.Error("reset left lines behind")
 	}
 }
 
@@ -100,6 +100,7 @@ func TestSetAssocGeometryValidation(t *testing.T) {
 	for _, bad := range []func(){
 		func() { NewSetAssoc(3, 4) },  // non-power-of-two sets
 		func() { NewSetAssoc(4, 0) },  // zero ways
+		func() { NewSetAssoc(4, 17) }, // wider than the recency order
 		func() { NewSetAssoc(-4, 4) }, // negative
 	} {
 		func() {

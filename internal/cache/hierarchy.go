@@ -50,8 +50,9 @@ type AccessResult struct {
 	// Level is where the line was found (LevelMem if nowhere).
 	Level Level
 	// Slice is the LLC slice consulted (the line's home slice). It is
-	// meaningful for LevelLLC and LevelMem, where the request travelled
-	// the mesh.
+	// set only for LevelLLC, LevelRemote and LevelMem, where the request
+	// travelled the mesh; a private L1 or L2 hit never reaches a slice and
+	// reports 0.
 	Slice int
 }
 
@@ -215,8 +216,8 @@ func (h *Hierarchy) llcInsert(d Domain, line Line) {
 // llcTake drops line from its home slice for domain d if present: an LLC
 // hit moves the line up to the L2 (non-inclusive). It makes no LRU update
 // for the hit, which would be discarded with the line; skipping it leaves
-// the relative order of the stamps of resident lines, and so every later
-// victim choice, unchanged.
+// the recency order of the resident lines, and so every later victim
+// choice, unchanged.
 func (h *Hierarchy) llcTake(d Domain, line Line) (slice int, hit bool) {
 	slice = h.SliceOf(d, line)
 	set := h.LLCSetOf(d, line)
@@ -246,7 +247,7 @@ func (h *Hierarchy) Stats() (inserts, evictions uint64) {
 }
 
 // Reset returns the hierarchy and every attached core cache to cold
-// state in place: all arrays invalidated with LRU stamps rewound, every
+// state in place: all arrays invalidated (keeping their storage), every
 // defence (domain hashes, index function, way ranges) removed, watchers
 // dropped, and the insert/eviction statistics zeroed. The set of attached
 // cores is preserved — a reset hierarchy is the one NewHierarchy+NewCore
@@ -337,11 +338,11 @@ func (cc *CoreCaches) L2SetOf(line Line) int {
 // L2→LLC on eviction; memory fills bypass LLC allocation.
 func (cc *CoreCaches) Access(d Domain, line Line) AccessResult {
 	if cc.l1.Lookup(cc.L1SetOf(line), line) {
-		return AccessResult{Level: LevelL1, Slice: cc.h.SliceOf(d, line)}
+		return AccessResult{Level: LevelL1}
 	}
 	if cc.l2.Lookup(cc.L2SetOf(line), line) {
 		cc.fillL1(line)
-		return AccessResult{Level: LevelL2, Slice: cc.h.SliceOf(d, line)}
+		return AccessResult{Level: LevelL2}
 	}
 	slice, hit := cc.h.llcTake(d, line)
 	if hit {

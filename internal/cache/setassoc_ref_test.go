@@ -3,9 +3,9 @@ package cache
 import "fmt"
 
 // This file keeps the original 24-byte-way SetAssoc as a reference model
-// for the differential tests and FuzzSetAssoc. It is the implementation
-// the compact tag/stamp layout replaced, renamed but otherwise unchanged:
-// every way carries its line, LRU age and a validity flag, and Reset and
+// for the differential tests and FuzzSetAssoc, renamed but otherwise
+// unchanged: every way carries its line, LRU stamp and a validity flag,
+// the victim is the valid way with the smallest stamp, and Reset and
 // Flush walk the whole array.
 
 // refWay is one cache way: the resident line, its LRU stamp, and a validity

@@ -66,12 +66,13 @@ func ablationBER(opts Options, interval sim.Time, nbits int, mutate func(*system
 		cfg := system.DefaultConfig()
 		cfg.Seed = opts.Seed + uint64(trial)*7919
 		mutate(&cfg)
-		m := bindMachine(system.New(cfg), opts)
+		m := bindMachine(opts.Machines.Get(cfg), opts)
 		c := ufvariation.DefaultConfig()
 		c.Interval = interval
 		c.Lead = 40*sim.Millisecond + sim.Time(trial)*3700*sim.Microsecond
 		bits := channel.RandomBits(m.Rand(uint64(interval)), nbits)
 		res, err := ufvariation.Run(m, c, bits)
+		opts.Release(m)
 		if err != nil {
 			return 0, err
 		}
@@ -156,7 +157,8 @@ func ablationFig3Cell(opts Options, tt int, weights []float64) (float64, error) 
 	if weights != nil {
 		cfg.UFS.DistWeight = weights
 	}
-	m := bindMachine(system.New(cfg), opts)
+	m := bindMachine(opts.Machines.Get(cfg), opts)
+	defer opts.Release(m)
 	pairs, err := coresWithSliceAt(m, 0, tt, 1)
 	if err != nil {
 		return 0, err

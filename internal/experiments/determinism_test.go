@@ -39,7 +39,7 @@ func renderOnce(t *testing.T, id string) []byte {
 // files from the test failure output or re-running the generator in the
 // PR that introduced them.
 func TestGoldenOutputs(t *testing.T) {
-	for _, id := range []string{"fig3", "sync", "rel", "tab3", "sec61f"} {
+	for _, id := range []string{"fig3", "sync", "rel", "tab3", "sec61f", "ablate"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
@@ -66,9 +66,11 @@ func TestGoldenOutputs(t *testing.T) {
 // environment (defences, way and slice partitions, TDM, stress threads)
 // must be undone by Reset before the next cell; sec61f's second round
 // starts its unrestricted visits on machines that carried the
-// restricted-range defence; fig12 recycles a machine per site visit.
+// restricted-range defence; fig12 recycles a machine per site visit;
+// ablate recycles machines built from mutated governor, noise and
+// distance-weight configurations.
 func TestPooledRunsIdentical(t *testing.T) {
-	for _, id := range []string{"fig3", "sync", "rel", "sec61", "tab3", "sec61f", "fig12"} {
+	for _, id := range []string{"fig3", "sync", "rel", "sec61", "tab3", "sec61f", "fig12", "ablate"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cache"
@@ -264,5 +265,21 @@ func TestDVFSPerformanceDisablesUFS(t *testing.T) {
 	// §2.2.1: a core above base pins the uncore at its maximum.
 	if f := m.Socket(0).Uncore(); f != 24 {
 		t.Errorf("uncore at %v with a turbo core, want pinned max", f)
+	}
+}
+
+// TestNewMachineAllocatesLittle pins what building an idle machine costs.
+// Cache arrays allocate their tag storage on first fill, so constructing
+// the two-socket Table 1 platform must not pay for the ~20 MB of L1, L2
+// and LLC arrays of cores and slices that nothing has touched yet.
+func TestNewMachineAllocatesLittle(t *testing.T) {
+	const limit = 4 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := New(DefaultConfig())
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("New(DefaultConfig()) allocated %.1f MB, want at most %d MB", float64(got)/(1<<20), limit>>20)
 	}
 }
