@@ -64,8 +64,6 @@ func serveCmd(args []string) int {
 		herd      = fs.Bool("herd", false, "release all loopback workers at the same instant (thundering-herd testing)")
 		batch     = fs.Bool("batch", false, "loopback workers deliver completions as per-round batches")
 		drainFor  = fs.Duration("drain", 5*time.Second, "HTTP shutdown drain deadline")
-
-		legacyState = fs.Bool("legacy-state", false, "persist state as the pre-journal sweep-state.json full rewrite (interop only)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: ufsim serve [-addr :7733 | -loopback N] [-experiment all] [-artifacts DIR] [-resume] ...")
@@ -104,7 +102,6 @@ func serveCmd(args []string) int {
 		StateDir:        *artifacts,
 		Resume:          *resume,
 		FS:              stateFS,
-		LegacyState:     *legacyState,
 		Log:             os.Stderr,
 	}, units)
 	if err != nil {
@@ -264,8 +261,8 @@ func finishSweep(c *sweepd.Coordinator, artifacts string, signalled bool) int {
 	if err := c.WriteManifest(); err != nil {
 		fmt.Fprintf(os.Stderr, "ufsim serve: writing manifest: %v\n", err)
 	}
-	// Final status snapshot (unit states plus shed/queue/breaker
-	// counters when a gate is attached) — what CI uploads.
+	// Final status snapshot (unit states plus shed/queue counters when
+	// a gate is attached) — what CI uploads.
 	if data, err := c.StatusJSON(); err == nil {
 		if werr := os.WriteFile(filepath.Join(artifacts, "status-final.json"), append(data, '\n'), 0o644); werr != nil {
 			fmt.Fprintf(os.Stderr, "ufsim serve: writing final status: %v\n", werr)
@@ -318,8 +315,6 @@ func workerCmd(args []string) int {
 
 		batch     = fs.Bool("batch", false, "deliver each lease round's completions as one batched request")
 		retryBase = fs.Duration("retry-base", 50*time.Millisecond, "first rung of the jittered transport retry backoff")
-		brkAfter  = fs.Int("breaker-after", 8, "consecutive transport failures before the circuit breaker opens (negative disables)")
-		brkCool   = fs.Duration("breaker-cooldown", 2*time.Second, "how long an open breaker waits before probing the coordinator")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: ufsim worker -coordinator URL [-id NAME] [-jobs N] ...")
@@ -355,12 +350,10 @@ func workerCmd(args []string) int {
 			MaxEngineSteps: *maxSteps,
 			ArtifactDir:    *scratch,
 		}),
-		Jobs:            *jobs,
-		RetryBase:       *retryBase,
-		BatchCompletes:  *batch,
-		BreakerAfter:    *brkAfter,
-		BreakerCooldown: *brkCool,
-		Log:             os.Stderr,
+		Jobs:           *jobs,
+		RetryBase:      *retryBase,
+		BatchCompletes: *batch,
+		Log:            os.Stderr,
 	})
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -107,7 +107,6 @@ func Cases() []Case {
 		{Name: "sweepd-loopback", Long: true, Fn: benchSweepdLoopback},
 		{Name: "sweepd-complete-batched", Long: true, Fn: benchSweepdCompleteBatched},
 		{Name: "sweepd-journal-append-512", Long: true, Fn: benchSweepdJournalAppend},
-		{Name: "sweepd-rewrite-512", Long: true, Fn: benchSweepdRewrite},
 	}
 }
 
@@ -487,14 +486,12 @@ func benchSweepdFleet(b *testing.B, batch bool) {
 	}
 }
 
-// benchSweepdPersist times one persisted unit transition — lease plus
-// completion merge — on a 512-unit coordinator backed by the in-memory
-// crash-model filesystem (so the number is serialization and protocol,
-// not platter latency). The journal variant appends one framed record
-// per transition; the legacy variant rewrites the whole 512-entry state
-// document. The gap between the two cases is the tentpole's O(units) →
-// O(1) claim, measured.
-func benchSweepdPersist(b *testing.B, legacy bool) {
+// benchSweepdJournalAppend times one persisted unit transition — lease
+// plus completion merge, which appends one framed journal record — on a
+// 512-unit coordinator backed by the in-memory crash-model filesystem
+// (so the number is serialization and protocol, not platter latency).
+// It stays flat as the grid grows: persistence is O(1) per transition.
+func benchSweepdJournalAppend(b *testing.B) {
 	units := make([]sweepd.Unit, 512)
 	for i := range units {
 		units[i] = sweepd.Unit{
@@ -504,14 +501,13 @@ func benchSweepdPersist(b *testing.B, legacy bool) {
 	}
 	newCoord := func() *sweepd.Coordinator {
 		c, err := sweepd.NewCoordinator(sweepd.CoordinatorConfig{
-			Clock:       sweepd.NewManualClock(time.Unix(0, 0)),
-			LeaseTTL:    time.Hour,
-			StateDir:    "state",
-			FS:          faults.NewDiskFS(1),
-			LegacyState: legacy,
-			// Never compact mid-run: the journal case measures the pure
-			// append path (compaction cost amortizes to ~zero at this
-			// cadence anyway).
+			Clock:    sweepd.NewManualClock(time.Unix(0, 0)),
+			LeaseTTL: time.Hour,
+			StateDir: "state",
+			FS:       faults.NewDiskFS(1),
+			// Never compact mid-run: measure the pure append path
+			// (compaction cost amortizes to ~zero at this cadence
+			// anyway).
 			SnapshotEvery: 1 << 30,
 		}, units)
 		if err != nil {
@@ -540,6 +536,3 @@ func benchSweepdPersist(b *testing.B, legacy bool) {
 		idx++
 	}
 }
-
-func benchSweepdJournalAppend(b *testing.B) { benchSweepdPersist(b, false) }
-func benchSweepdRewrite(b *testing.B)       { benchSweepdPersist(b, true) }

@@ -109,16 +109,6 @@ type EndpointLoad struct {
 	QueuedMax   int64 `json:"queued_max,omitempty"`
 }
 
-// BreakerStats aggregates worker-side circuit-breaker activity (trips,
-// fast-failed calls while open, half-open probes). The loopback fleet
-// folds its workers' breakers into the gate so `GET /v1/status` shows
-// one overload picture; HTTP workers log theirs locally instead.
-type BreakerStats struct {
-	Trips     int64 `json:"trips,omitempty"`
-	FastFails int64 `json:"fast_fails,omitempty"`
-	Probes    int64 `json:"probes,omitempty"`
-}
-
 // OverloadStats is the admission section of /v1/status.
 type OverloadStats struct {
 	// Endpoints maps endpoint name to its counters.
@@ -126,8 +116,6 @@ type OverloadStats struct {
 	// Pressure is the fullest endpoint queue in [0, 1] — the brownout
 	// input that stretches lease RetryAfterMillis.
 	Pressure float64 `json:"pressure"`
-	// Breaker aggregates in-process workers' circuit breakers.
-	Breaker BreakerStats `json:"breaker,omitempty"`
 }
 
 // gateSlot is one endpoint's semaphore and counters.
@@ -186,10 +174,6 @@ func (s *gateSlot) admit() func() {
 type Gate struct {
 	clock Clock
 	slots map[string]*gateSlot
-
-	breakerTrips     atomic.Int64
-	breakerFastFails atomic.Int64
-	breakerProbes    atomic.Int64
 }
 
 // NewGate builds a gate over cfg.
@@ -286,24 +270,11 @@ func (g *Gate) Pressure() float64 {
 	return p
 }
 
-// RecordBreaker folds one worker's circuit-breaker counters into the
-// gate's aggregate (the loopback fleet calls this as workers finish).
-func (g *Gate) RecordBreaker(st BreakerStats) {
-	g.breakerTrips.Add(st.Trips)
-	g.breakerFastFails.Add(st.FastFails)
-	g.breakerProbes.Add(st.Probes)
-}
-
 // Stats snapshots the admission counters for /v1/status.
 func (g *Gate) Stats() OverloadStats {
 	st := OverloadStats{
 		Endpoints: make(map[string]EndpointLoad, len(g.slots)),
 		Pressure:  g.Pressure(),
-		Breaker: BreakerStats{
-			Trips:     g.breakerTrips.Load(),
-			FastFails: g.breakerFastFails.Load(),
-			Probes:    g.breakerProbes.Load(),
-		},
 	}
 	for ep, s := range g.slots {
 		st.Endpoints[ep] = EndpointLoad{

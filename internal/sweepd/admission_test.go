@@ -291,14 +291,3 @@ func TestGateInflightNeverExceedsCapUnderHerd(t *testing.T) {
 		t.Fatalf("gauges not drained after herd: %+v", st)
 	}
 }
-
-// TestGateRecordBreaker: worker breaker counters fold into the gate's
-// aggregate additively.
-func TestGateRecordBreaker(t *testing.T) {
-	g := NewGate(GateConfig{})
-	g.RecordBreaker(BreakerStats{Trips: 1, FastFails: 3, Probes: 2})
-	g.RecordBreaker(BreakerStats{Trips: 2, FastFails: 1})
-	if b := g.Stats().Breaker; b.Trips != 3 || b.FastFails != 4 || b.Probes != 2 {
-		t.Fatalf("aggregated breaker stats %+v", b)
-	}
-}

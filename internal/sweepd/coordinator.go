@@ -38,8 +38,9 @@ type CoordinatorConfig struct {
 	QuarantineAfter int
 	// RetryBase is the base of the exponential backoff applied before
 	// an expired or failed unit becomes leasable again; each
-	// reassignment waits base·2^(n-1) plus a jitter drawn from
-	// [0, RetryJitter). Zero means 500ms base with 250ms jitter.
+	// reassignment waits min(base·2^(n-1), LeaseTTL) plus a jitter
+	// drawn from [0, RetryJitter). Zero means 500ms base with 250ms
+	// jitter.
 	RetryBase   time.Duration
 	RetryJitter time.Duration
 	// Seed feeds the jitter stream, keeping reassignment schedules
@@ -48,23 +49,19 @@ type CoordinatorConfig struct {
 	// Clock supplies time; nil means the wall clock.
 	Clock Clock
 	// StateDir, when non-empty, receives the crash-proof sweep state
-	// (sweep-state.json), per-unit crash/quarantine artifacts, and the
-	// merged manifest (manifest.json). Empty keeps everything in
-	// memory.
+	// (the journal, see journal.go), per-unit crash/quarantine
+	// artifacts, and the merged manifest (manifest.json). Empty keeps
+	// everything in memory.
 	StateDir string
-	// Resume replays StateDir's durable state (journal + snapshot, or a
-	// legacy sweep-state.json, which is migrated) and keeps terminal
+	// Resume replays StateDir's journal and snapshot and keeps terminal
 	// outcomes whose unit grid matches; in-flight leases from the dead
-	// coordinator revert to pending without charging budgets.
+	// coordinator revert to pending without charging budgets. A dir
+	// holding only a pre-journal sweep-state.json is refused.
 	Resume bool
 	// FS is the filesystem all StateDir persistence goes through; nil
 	// means the real one (vfs.OS). Tests and chaos runs inject the
 	// fault-driven filesystems from internal/faults here.
 	FS vfs.FS
-	// LegacyState keeps the pre-journal checkpoint format: the whole
-	// sweep-state.json rewritten on every transition. O(units) I/O per
-	// transition — only for interop with tooling that reads that file.
-	LegacyState bool
 	// SnapshotEvery is how many journal records accumulate before a
 	// compaction folds them into a snapshot; zero means
 	// max(256, 4×units).
@@ -169,8 +166,8 @@ type Coordinator struct {
 	order    []UnitID
 	rng      *sim.Rand
 	draining bool
-	// store is the durable journal (nil with LegacyState or no
-	// StateDir); salvage records a lossy recovery at open.
+	// store is the durable journal (nil without StateDir); salvage
+	// records a lossy recovery at open.
 	store   *journalStore
 	salvage *SalvageReport
 	// persistFails counts consecutive failed checkpoint transitions;
@@ -189,8 +186,8 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds a coordinator over the unit grid. With
-// cfg.Resume set and a matching sweep-state.json in cfg.StateDir,
-// terminal outcomes are restored so only unfinished units run.
+// cfg.Resume set and a journal in cfg.StateDir, terminal outcomes whose
+// unit matches the grid are restored so only unfinished units run.
 func NewCoordinator(cfg CoordinatorConfig, units []Unit) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
@@ -215,32 +212,17 @@ func NewCoordinator(cfg CoordinatorConfig, units []Unit) (*Coordinator, error) {
 		}
 	}
 	if cfg.StateDir != "" {
-		if cfg.LegacyState {
-			if err := c.cfg.FS.MkdirAll(cfg.StateDir, 0o755); err != nil {
-				return nil, fmt.Errorf("sweepd: state dir: %w", err)
-			}
-			if cfg.Resume {
-				restored, err := c.restoreState()
-				if err != nil {
-					return nil, err
-				}
-				if restored > 0 {
-					fmt.Fprintf(cfg.Log, "sweepd: resumed %d terminal unit(s) from %s\n", restored, cfg.StateDir)
-				}
-			}
-		} else {
-			store, entries, salvage, err := openJournal(c.cfg.FS, cfg.StateDir, cfg.Resume, cfg.Log)
-			if err != nil {
-				return nil, err
-			}
-			c.store = store
-			c.salvage = salvage
-			c.mu.Lock()
-			restored := c.applyEntriesLocked(entries)
-			c.mu.Unlock()
-			if restored > 0 {
-				fmt.Fprintf(cfg.Log, "sweepd: resumed %d terminal unit(s) from %s (journal generation %d)\n", restored, cfg.StateDir, store.gen)
-			}
+		store, entries, salvage, err := openJournal(c.cfg.FS, cfg.StateDir, cfg.Resume, cfg.Log)
+		if err != nil {
+			return nil, err
+		}
+		c.store = store
+		c.salvage = salvage
+		c.mu.Lock()
+		restored := c.applyEntriesLocked(entries)
+		c.mu.Unlock()
+		if restored > 0 {
+			fmt.Fprintf(cfg.Log, "sweepd: resumed %d terminal unit(s) from %s (journal generation %d)\n", restored, cfg.StateDir, store.gen)
 		}
 	}
 	c.mu.Lock()
@@ -351,14 +333,10 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 			retry = time.Duration(float64(retry) * (1 + 3*c.gate.Pressure()))
 		}
 		resp.RetryAfterMillis = retry.Milliseconds()
-	} else if c.store == nil {
-		// Legacy checkpoint: the full rewrite happens on every
-		// transition, grants included. In journal mode a grant is
-		// durably a no-op — a leased unit persists as pending (a
-		// restarted coordinator cannot honor epochs it never granted) —
-		// so the journal appends nothing and leasing costs zero I/O.
-		c.persistLocked()
 	}
+	// A grant is durably a no-op: a leased unit persists as pending (a
+	// restarted coordinator cannot honor epochs it never granted), so
+	// leasing appends nothing to the journal.
 	return resp
 }
 
@@ -393,31 +371,19 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	return HeartbeatResponse{OK: true}
 }
 
-// Complete merges a unit outcome, exactly once per unit. Outcomes under
-// a stale epoch are rejected; redelivery of the merged outcome under the
-// merging epoch is acknowledged idempotently.
+// Complete merges a unit outcome, exactly once per unit: a one-item
+// CompleteBatch. Outcomes under a stale epoch are rejected; redelivery
+// of the merged outcome under the merging epoch is acknowledged
+// idempotently.
 func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
-	now := c.cfg.Clock.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reapLocked(now)
-
-	accepted, changed := c.completeOneLocked(now, req.Worker, CompletedUnit{
-		Unit: req.Unit, Epoch: req.Epoch, OK: req.OK, Result: req.Result,
-		Error: req.Error, Artifact: req.Artifact, Attempts: req.Attempts,
-		DurationMS: req.DurationMS,
-	})
-	if changed != nil {
-		c.persistUnitLocked(changed)
-	}
-	c.checkDoneLocked()
-	return CompleteResponse{Accepted: accepted}
+	resp := c.CompleteBatch(CompleteBatchRequest{Worker: req.Worker, Units: []CompletedUnit{req.completed()}})
+	return CompleteResponse{Accepted: resp.Accepted[0]}
 }
 
 // CompleteBatch merges several outcomes from one worker under a single
-// lock acquisition, one reap, and — in journal mode — one group-commit
-// fsync, so a herd of finishing workers costs one round trip per worker
-// instead of one per unit. Per-entry semantics are exactly Complete's.
+// lock acquisition, one reap, and one group-commit fsync, so a herd of
+// finishing workers costs one round trip per worker instead of one per
+// unit.
 func (c *Coordinator) CompleteBatch(req CompleteBatchRequest) CompleteBatchResponse {
 	now := c.cfg.Clock.Now()
 	c.mu.Lock()
@@ -439,10 +405,9 @@ func (c *Coordinator) CompleteBatch(req CompleteBatchRequest) CompleteBatchRespo
 }
 
 // completeOneLocked merges one outcome: the single source of truth for
-// fencing and idempotency, shared by Complete and CompleteBatch. It
-// returns whether the outcome was accepted and, when the unit's durable
-// state changed, the record the caller must persist (singly or as part
-// of a batch group-commit).
+// fencing and idempotency. It returns whether the outcome was accepted
+// and, when the unit's durable state changed, the record the caller
+// must persist in its group commit.
 func (c *Coordinator) completeOneLocked(now time.Time, worker string, cu CompletedUnit) (accepted bool, changed *unitRecord) {
 	r, ok := c.units[cu.Unit]
 	if !ok {
@@ -519,12 +484,9 @@ func (c *Coordinator) Release(req ReleaseRequest) ReleaseResponse {
 		n++
 	}
 	if n > 0 {
+		// Durably a no-op: a released unit goes back to exactly the
+		// pending entry already on disk.
 		fmt.Fprintf(c.cfg.Log, "sweepd: %s released %d lease(s) (%s)\n", req.Worker, n, req.Reason)
-		if c.store == nil {
-			// Durably a no-op in journal mode: a released unit goes
-			// back to exactly the pending entry already on disk.
-			c.persistLocked()
-		}
 	}
 	return ReleaseResponse{Released: n}
 }
@@ -558,26 +520,26 @@ func (c *Coordinator) reapLocked(now time.Time) {
 		c.benchLocked(r, now, r.expiries)
 	}
 	if len(changed) > 0 {
-		if c.store == nil {
-			c.persistLocked()
-		} else {
-			// An expiry charges the unit's budget (and may quarantine
-			// it) — that is real state, one journal record per unit.
-			for _, r := range changed {
-				c.persistUnitLocked(r)
-			}
-		}
+		// An expiry charges the unit's budget (and may quarantine it) —
+		// real state, group-committed like a CompleteBatch.
+		c.persistUnitsLocked(changed)
 		c.checkDoneLocked()
 	}
 }
 
 // benchLocked sidelines a unit for the nth backoff window:
-// base·2^(n-1) plus deterministic jitter.
+// base·2^(n-1), saturating at LeaseTTL, plus deterministic jitter. The
+// cap matters: a unit one worker keeps failing never reaches
+// QuarantineAfter distinct workers, so n grows without bound, and an
+// uncapped shift waits days by n = 20 and overflows negative by n = 36.
 func (c *Coordinator) benchLocked(r *unitRecord, now time.Time, n int) {
-	if n < 1 {
-		n = 1
+	backoff := c.cfg.RetryBase
+	for i := 1; i < n && backoff < c.cfg.LeaseTTL; i++ {
+		backoff *= 2
 	}
-	backoff := c.cfg.RetryBase << uint(n-1)
+	if backoff > c.cfg.LeaseTTL {
+		backoff = c.cfg.LeaseTTL
+	}
 	if c.cfg.RetryJitter > 0 {
 		backoff += time.Duration(c.rng.IntN(int(c.cfg.RetryJitter)))
 	}
@@ -707,7 +669,7 @@ type Status struct {
 	Degraded       bool         `json:"degraded,omitempty"`
 	DegradedReason string       `json:"degraded_reason,omitempty"`
 	Units          []UnitStatus `json:"units"`
-	// Overload carries the attached admission gate's shed/queue/breaker
+	// Overload carries the attached admission gate's shed/queue
 	// counters; nil when no gate is attached.
 	Overload *OverloadStats `json:"overload,omitempty"`
 }

@@ -286,6 +286,45 @@ func TestQuarantineAfterDistinctWorkerFailures(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffSaturates: a unit one worker keeps failing never
+// reaches QuarantineAfter distinct workers, so its failure count grows
+// without bound. Across 64 failures the re-lease delay stays positive,
+// never shrinks, and saturates at LeaseTTL (plus jitter) instead of
+// growing to days and then overflowing negative.
+func TestRetryBackoffSaturates(t *testing.T) {
+	const ttl = 30 * time.Second
+	for _, jitter := range []time.Duration{0, 250 * time.Millisecond} {
+		clk := NewManualClock(time.Unix(0, 0))
+		c := newTestCoordinator(t, clk, func(cfg *CoordinatorConfig) {
+			cfg.LeaseTTL = ttl
+			cfg.RetryBase = 500 * time.Millisecond
+			cfg.RetryJitter = jitter
+		}, testUnits(1))
+		var prev time.Duration
+		for n := 1; n <= 64; n++ {
+			lu := leaseOne(t, c, "w")
+			now := clk.Now()
+			if resp := c.Complete(CompleteRequest{Worker: "w", Unit: lu.Unit.ID, Epoch: lu.Epoch, Error: "boom"}); !resp.Accepted {
+				t.Fatalf("failure %d not accepted", n)
+			}
+			c.mu.Lock()
+			delay := c.units[lu.Unit.ID].eligible.Sub(now)
+			c.mu.Unlock()
+			if delay <= 0 || delay > ttl+jitter {
+				t.Fatalf("jitter %v, failure %d: delay %v outside (0, %v]", jitter, n, delay, ttl+jitter)
+			}
+			if jitter == 0 && delay < prev {
+				t.Fatalf("failure %d: delay %v shrank from %v", n, delay, prev)
+			}
+			prev = delay
+			clk.Advance(delay)
+		}
+		if st := unitState(t, c, "u00"); st.State != UnitPending || len(st.Failures) != 64 {
+			t.Fatalf("jitter %v: after 64 failures unit is %s with %d failures", jitter, st.State, len(st.Failures))
+		}
+	}
+}
+
 // TestReleaseReturnsUnitUncharged: a voluntary release puts the unit
 // straight back in the pool without charging the expiry budget.
 func TestReleaseReturnsUnitUncharged(t *testing.T) {

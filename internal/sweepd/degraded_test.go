@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -153,29 +154,30 @@ func TestPersistFailureCounterResets(t *testing.T) {
 	broken.Store(false)
 }
 
-// TestLegacyPersistEscalates is the satellite contract: the pre-journal
-// full-rewrite path shares the escalation policy — repeated checkpoint
-// failures stop the sweep rather than scrolling warnings.
-func TestLegacyPersistEscalates(t *testing.T) {
+// TestReapGroupCommitCountsOnce: leases that expire together are
+// persisted as one group commit, so on a failing disk they cost one
+// failed transition, not one per unit — the same accounting a
+// CompleteBatch gets.
+func TestReapGroupCommitCountsOnce(t *testing.T) {
 	clk := NewManualClock(time.Unix(0, 0))
 	broken := &atomic.Bool{}
 	c := newTestCoordinator(t, clk, func(cfg *CoordinatorConfig) {
 		cfg.StateDir = t.TempDir()
 		cfg.FS = flakyFS{vfs.OS{}, broken}
-		cfg.LegacyState = true
 		cfg.PersistFailLimit = 2
-	}, testUnits(5))
+	}, testUnits(3))
+	defer c.Close()
 
-	completeOne(t, c, "w")
-	broken.Store(true)
-	// Legacy mode checkpoints on the grant AND the completion, so one
-	// lease+complete cycle is two failed transitions.
-	completeOne(t, c, "w")
-	if deg, _ := c.Degraded(); !deg {
-		t.Fatal("legacy persist failures did not degrade the coordinator")
+	if got := len(c.Lease(LeaseRequest{Worker: "w", Max: 3}).Units); got != 3 {
+		t.Fatalf("leased %d units, want 3", got)
 	}
-	if resp := c.Lease(LeaseRequest{Worker: "w", Max: 1}); !resp.Degraded {
-		t.Fatalf("degraded legacy coordinator granted a lease: %+v", resp)
+	broken.Store(true)
+	clk.Advance(2 * time.Minute)
+	if st := c.Snapshot(); st.Pending != 3 {
+		t.Fatalf("after the TTL: %+v, want all 3 reaped", st)
+	}
+	if deg, reason := c.Degraded(); deg {
+		t.Fatalf("one failed group commit degraded the coordinator: %s", reason)
 	}
 }
 
@@ -224,18 +226,26 @@ func TestCoordinatorSalvageExposed(t *testing.T) {
 	}
 }
 
-// TestCoordinatorCorruptLegacyResume: NewCoordinator over a damaged
-// legacy sweep-state.json fails loudly in both journal (migration) and
-// legacy modes.
+// TestCoordinatorCorruptLegacyResume: NewCoordinator with Resume over a
+// dir holding only a pre-journal sweep-state.json fails loudly, naming
+// the file, whether or not that file still parses — it never silently
+// starts a fresh sweep.
 func TestCoordinatorCorruptLegacyResume(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
+	for _, content := range []string{`{"units": [{"truncated`, `{"units": []}`} {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, StateName), []byte(`{"units": [{"truncated`), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, StateName), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cfg := CoordinatorConfig{StateDir: dir, Resume: true, LegacyState: legacy}
-		if _, err := NewCoordinator(cfg, testUnits(1)); err == nil {
-			t.Fatalf("legacy=%v: corrupt state resumed silently", legacy)
+		cfg := CoordinatorConfig{StateDir: dir, Resume: true}
+		_, err := NewCoordinator(cfg, testUnits(1))
+		if err == nil {
+			t.Fatalf("pre-journal state %q resumed silently", content)
+		}
+		if !strings.Contains(err.Error(), StateName) {
+			t.Fatalf("error does not name %s: %v", StateName, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, JournalManifestName)); err == nil {
+			t.Fatal("refused resume still started a journal")
 		}
 	}
 }

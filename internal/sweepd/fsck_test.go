@@ -19,7 +19,7 @@ func newFsckDir(t *testing.T) string {
 		t.Fatal(err)
 	}
 	for _, e := range []stateEntry{testEntry("a", UnitDone), testEntry("b", UnitQuarantined)} {
-		if err := js.append(e); err != nil {
+		if err := js.appendAll([]stateEntry{e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,29 +153,24 @@ func TestFsckOrphansAndTornArtifacts(t *testing.T) {
 	findReport(t, rep.Corruptions, "b.2.crash.json")
 }
 
-// TestFsckLegacyDir: a pre-journal dir verifies through
-// sweep-state.json; corrupt legacy state is corruption.
+// TestFsckLegacyDir: a pre-journal dir (sweep-state.json, no journal
+// manifest) is corruption whether or not the file parses, because
+// resume refuses it.
 func TestFsckLegacyDir(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, StateName), []byte(`{"units": []}`), 0o644); err != nil {
-		t.Fatal(err)
+	for _, content := range []string{`{"units": []}`, `{"units": [`} {
+		if err := os.WriteFile(filepath.Join(dir, StateName), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Fsck(nil, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Clean() || rep.Journaled {
+			t.Fatalf("pre-journal dir %q report = %+v", content, rep)
+		}
+		findReport(t, rep.Corruptions, StateName+": pre-journal state, unsupported")
 	}
-	rep, err := Fsck(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() || rep.Journaled {
-		t.Fatalf("legacy dir report = %+v", rep)
-	}
-
-	if err := os.WriteFile(filepath.Join(dir, StateName), []byte(`{"units": [`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = Fsck(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findReport(t, rep.Corruptions, StateName)
 }
 
 // TestFsckMissingDir: an unreadable dir is the error return.

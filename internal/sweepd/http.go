@@ -41,7 +41,6 @@ func NewServer(c *Coordinator, cfg ServerConfig) http.Handler {
 	}
 	handle("POST /v1/lease", EndpointLease, jsonHandler(c.Lease))
 	handle("POST /v1/heartbeat", EndpointHeartbeat, jsonHandler(c.Heartbeat))
-	handle("POST /v1/complete", EndpointComplete, jsonHandler(c.Complete))
 	handle("POST /v1/complete-batch", EndpointComplete, jsonHandler(c.CompleteBatch))
 	handle("POST /v1/release", EndpointRelease, jsonHandler(c.Release))
 	handle("GET /v1/status", EndpointStatus, func(w http.ResponseWriter, r *http.Request) {
@@ -194,10 +193,11 @@ func (h *HTTPClient) client() *http.Client {
 	return &http.Client{Timeout: 30 * time.Second}
 }
 
-// post delivers one JSON request and decodes the JSON response. A 429
-// comes back as an *OverloadError carrying the server's retry hint, so
-// worker backoff treats network-shed and loopback-shed identically.
-func (h *HTTPClient) post(ctx context.Context, path string, in, out any) error {
+// post delivers one JSON request to endpoint's route and decodes the
+// JSON response. A 429 comes back as an *OverloadError naming the gate
+// endpoint and carrying the server's retry hint, so worker backoff
+// treats network-shed and loopback-shed identically.
+func (h *HTTPClient) post(ctx context.Context, endpoint, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("sweepd: encoding %s request: %w", path, err)
@@ -217,7 +217,7 @@ func (h *HTTPClient) post(ctx context.Context, path string, in, out any) error {
 		resp.Body.Close()
 	}()
 	if resp.StatusCode == http.StatusTooManyRequests {
-		return overloadFromResponse(path, resp)
+		return overloadFromResponse(endpoint, resp)
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
@@ -229,7 +229,7 @@ func (h *HTTPClient) post(ctx context.Context, path string, in, out any) error {
 // overloadFromResponse rebuilds the gate's OverloadError from a 429:
 // the JSON body's millisecond hint when present, the Retry-After header
 // otherwise, a second as the floor of last resort.
-func overloadFromResponse(path string, resp *http.Response) error {
+func overloadFromResponse(endpoint string, resp *http.Response) error {
 	ra := time.Second
 	var sb shedBody
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&sb); err == nil && sb.RetryAfterMS > 0 {
@@ -237,40 +237,45 @@ func overloadFromResponse(path string, resp *http.Response) error {
 	} else if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
 		ra = time.Duration(secs) * time.Second
 	}
-	return &OverloadError{Endpoint: strings.TrimPrefix(path, "/v1/"), RetryAfter: ra}
+	return &OverloadError{Endpoint: endpoint, RetryAfter: ra}
 }
 
 // Lease implements Client.
 func (h *HTTPClient) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
 	var resp LeaseResponse
-	err := h.post(ctx, "/v1/lease", req, &resp)
+	err := h.post(ctx, EndpointLease, "/v1/lease", req, &resp)
 	return resp, err
 }
 
 // Heartbeat implements Client.
 func (h *HTTPClient) Heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
 	var resp HeartbeatResponse
-	err := h.post(ctx, "/v1/heartbeat", req, &resp)
+	err := h.post(ctx, EndpointHeartbeat, "/v1/heartbeat", req, &resp)
 	return resp, err
 }
 
-// Complete implements Client.
+// Complete implements Client as a one-item POST /v1/complete-batch.
 func (h *HTTPClient) Complete(ctx context.Context, req CompleteRequest) (CompleteResponse, error) {
-	var resp CompleteResponse
-	err := h.post(ctx, "/v1/complete", req, &resp)
-	return resp, err
+	resp, err := h.CompleteBatch(ctx, CompleteBatchRequest{Worker: req.Worker, Units: []CompletedUnit{req.completed()}})
+	if err != nil {
+		return CompleteResponse{}, err
+	}
+	if len(resp.Accepted) != 1 {
+		return CompleteResponse{}, fmt.Errorf("sweepd: complete-batch answered %d verdicts for one outcome", len(resp.Accepted))
+	}
+	return CompleteResponse{Accepted: resp.Accepted[0]}, nil
 }
 
 // CompleteBatch implements Client.
 func (h *HTTPClient) CompleteBatch(ctx context.Context, req CompleteBatchRequest) (CompleteBatchResponse, error) {
 	var resp CompleteBatchResponse
-	err := h.post(ctx, "/v1/complete-batch", req, &resp)
+	err := h.post(ctx, EndpointComplete, "/v1/complete-batch", req, &resp)
 	return resp, err
 }
 
 // Release implements Client.
 func (h *HTTPClient) Release(ctx context.Context, req ReleaseRequest) (ReleaseResponse, error) {
 	var resp ReleaseResponse
-	err := h.post(ctx, "/v1/release", req, &resp)
+	err := h.post(ctx, EndpointRelease, "/v1/release", req, &resp)
 	return resp, err
 }

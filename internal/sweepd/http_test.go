@@ -180,6 +180,95 @@ func TestHTTP429PropagatesOverloadError(t *testing.T) {
 	}
 }
 
+// TestHTTPCompleteIsOneItemBatch: HTTPClient.Complete travels as a
+// one-item POST /v1/complete-batch (there is no other completion
+// route), keeps Complete's fencing and idempotency verdicts, and a shed
+// completion comes back as the *OverloadError the loopback gate would
+// return, under the same endpoint name.
+func TestHTTPCompleteIsOneItemBatch(t *testing.T) {
+	c, err := NewCoordinator(CoordinatorConfig{}, testUnits(2))
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	gate := NewGate(GateConfig{
+		PerEndpoint: map[string]GateLimits{
+			EndpointComplete: {Inflight: 1, Queue: 1, QueueWait: time.Minute},
+		},
+	})
+	var mu sync.Mutex
+	var paths []string
+	handler := NewServer(c, ServerConfig{Gate: gate})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		paths = append(paths, r.URL.Path)
+		mu.Unlock()
+		handler.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	hc := &HTTPClient{Base: srv.URL}
+	ctx := context.Background()
+
+	lu := c.Lease(LeaseRequest{Worker: "w", Max: 1}).Units[0]
+	req := CompleteRequest{Worker: "w", Unit: lu.Unit.ID, Epoch: lu.Epoch, OK: true, Result: "r"}
+	for _, tc := range []struct {
+		name string
+		req  CompleteRequest
+		want bool
+	}{
+		{"first delivery", req, true},
+		{"idempotent redelivery", req, true},
+		{"stale epoch", CompleteRequest{Worker: "w", Unit: lu.Unit.ID, Epoch: lu.Epoch + 1, OK: true}, false},
+	} {
+		resp, err := hc.Complete(ctx, tc.req)
+		if err != nil || resp.Accepted != tc.want {
+			t.Fatalf("%s: Accepted=%v err=%v, want Accepted=%v", tc.name, resp.Accepted, err, tc.want)
+		}
+	}
+	if st := unitState(t, c, lu.Unit.ID); st.State != UnitDone || st.Completions != 1 {
+		t.Fatalf("after redelivery: %+v, want done once", st)
+	}
+	mu.Lock()
+	for _, p := range paths {
+		if p != "/v1/complete-batch" {
+			t.Fatalf("completion went to %s, want /v1/complete-batch", p)
+		}
+	}
+	mu.Unlock()
+	resp, err := http.Post(srv.URL+"/v1/complete", "application/json", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/complete answered %s, want 404 (route removed)", resp.Status)
+	}
+
+	// Saturate completion admission: hold the slot and the queue.
+	gctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	rel, err := gate.Acquire(gctx, EndpointComplete)
+	if err != nil {
+		t.Fatalf("holding the slot: %v", err)
+	}
+	defer rel()
+	go gate.Acquire(gctx, EndpointComplete)
+	waitForQueued(t, gate, EndpointComplete, 1)
+
+	_, err = hc.Complete(ctx, req)
+	var oe *OverloadError
+	if !errors.As(err, &oe) {
+		t.Fatalf("shed Complete returned %v, want *OverloadError", err)
+	}
+	_, lerr := (&AdmittedClient{Inner: Loopback{C: c}, Gate: gate}).Complete(ctx, req)
+	var loe *OverloadError
+	if !errors.As(lerr, &loe) {
+		t.Fatalf("shed loopback Complete returned %v, want *OverloadError", lerr)
+	}
+	if oe.Endpoint != EndpointComplete || oe.Endpoint != loe.Endpoint {
+		t.Fatalf("HTTP shed endpoint %q, loopback %q, want both %q", oe.Endpoint, loe.Endpoint, EndpointComplete)
+	}
+}
+
 // hintClock records every Sleep a worker performs without actually
 // sleeping, so a test can inspect how the worker honored a hint.
 type hintClock struct {

@@ -13,21 +13,21 @@ import (
 	"repro/internal/vfs"
 )
 
-// The durable sweep journal. The legacy checkpoint rewrote the whole
-// sweep-state.json on every transition — O(units) I/O per lease — and a
-// failed rewrite was only a log line. The journal makes durability O(1)
-// per transition and failure first-class:
+// The durable sweep journal: the coordinator's only persistence
+// format. Durability is O(1) per transition and failure is
+// first-class:
 //
 //   - journal-manifest.json names the active generation G.
 //   - snapshot-<G>.json is the full unit table as of the last
-//     compaction (the legacy stateFile document, written atomically).
+//     compaction (a stateFile document, written atomically).
 //   - journal-<G>.wal is an append-only log of per-unit transitions,
 //     each a CRC-32C-framed, length-prefixed JSON stateEntry, fsynced
 //     as it is appended.
 //
-// A transition appends one record (one small write + one fsync); every
-// SnapshotEvery records the store compacts: write snapshot-<G+1>,
-// create an empty journal-<G+1>, then atomically swing the manifest —
+// One coordinator call's transitions append their records in one write
+// plus one fsync; every SnapshotEvery records the store compacts: write
+// snapshot-<G+1>, create an empty journal-<G+1>, then atomically swing
+// the manifest —
 // the manifest write is the commit point, so a crash anywhere in
 // compaction leaves either the old generation fully intact or the new
 // one fully live. Recovery replays snapshot + journal, truncates a torn
@@ -169,11 +169,11 @@ type journalStore struct {
 // openJournal opens (or initializes) dir's journal and returns the
 // store plus the recovered entries. With resume unset any previous
 // state is ignored and a fresh generation is started; with it set,
-// recovery replays manifest → snapshot → journal, migrating a legacy
-// sweep-state.json when no journal exists yet. A lossy recovery writes
-// salvage-report.json and returns the report; a corrupt snapshot,
-// manifest, or legacy state file is an explicit error (resume must
-// never silently invent a fresh sweep over damaged state).
+// recovery replays manifest → snapshot → journal. A lossy recovery
+// writes salvage-report.json and returns the report; a corrupt
+// snapshot or manifest, or a pre-journal sweep-state.json with no
+// manifest, is an explicit error (resume must never silently invent a
+// fresh sweep over state it cannot read).
 func openJournal(fsys vfs.FS, dir string, resume bool, log io.Writer) (*journalStore, []stateEntry, *SalvageReport, error) {
 	if log == nil {
 		log = io.Discard
@@ -201,12 +201,11 @@ func openJournal(fsys vfs.FS, dir string, resume bool, log io.Writer) (*journalS
 			}
 		}
 	case errors.Is(manErr, fs.ErrNotExist):
-		// No journal yet: migrate the legacy checkpoint if present.
-		legacy, err := readLegacyState(fsys, dir)
-		if err != nil {
+		// No journal yet: nothing to resume, unless the dir holds state
+		// in the retired pre-journal format.
+		if err := preJournalState(fsys, dir); err != nil {
 			return nil, nil, nil, err
 		}
-		base = legacy
 	case manErr != nil:
 		return nil, nil, nil, fmt.Errorf("sweepd: reading %s: %w", manifestPath, manErr)
 	default:
@@ -279,29 +278,25 @@ func openJournal(fsys vfs.FS, dir string, resume bool, log io.Writer) (*journalS
 	return js, base, salvage, nil
 }
 
-// readLegacyState loads a pre-journal sweep-state.json for migration.
-// Corrupt JSON is an explicit error naming the file — the operator
-// chose -resume, so inventing a fresh sweep would silently discard what
-// they asked to keep.
-func readLegacyState(fsys vfs.FS, dir string) ([]stateEntry, error) {
+// preJournalState reports a pre-journal sweep-state.json in dir as an
+// error naming the file. The format is no longer read, and the
+// operator chose -resume, so starting a fresh sweep over it would
+// silently discard what they asked to keep.
+func preJournalState(fsys vfs.FS, dir string) error {
 	path := filepath.Join(dir, StateName)
-	data, err := fsys.ReadFile(path)
+	_, err := fsys.Stat(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
+		return nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("sweepd: reading sweep state: %w", err)
+		return fmt.Errorf("sweepd: %s: %w", path, err)
 	}
-	var doc stateFile
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("sweepd: sweep state %s is corrupt: %w", path, err)
-	}
-	return doc.Units, nil
+	return fmt.Errorf("sweepd: %s: pre-journal state, unsupported (no %s); start a fresh sweep without -resume", path, JournalManifestName)
 }
 
 // applyJournal folds journal records over the snapshot: last write per
 // unit wins, unknown units append (they are filtered against the live
-// grid at restore time, like legacy entries).
+// grid at restore time).
 func applyJournal(base []stateEntry, records []stateEntry) []stateEntry {
 	index := make(map[UnitID]int, len(base))
 	for i, e := range base {
@@ -345,36 +340,12 @@ func ReadSalvageReport(fsys vfs.FS, dir string) (SalvageReport, error) {
 	return rep, err
 }
 
-// append journals one unit transition: a single framed record, written
-// and fsynced. O(1) regardless of sweep size — this is the hot path the
-// tentpole exists for.
-func (js *journalStore) append(e stateEntry) error {
-	if js.dirty {
-		return errWalDirty
-	}
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	if _, err := js.wal.Write(encodeFrame(payload)); err != nil {
-		// The file may now hold a torn frame; appending after it would
-		// turn a recoverable tail into mid-stream corruption. Poison
-		// the handle until a compaction rolls a clean generation.
-		js.dirty = true
-		return err
-	}
-	if err := js.wal.Sync(); err != nil {
-		js.dirty = true
-		return err
-	}
-	js.appended++
-	return nil
-}
-
-// appendAll group-commits a batch of transitions: every record's frame
-// in one write, then one fsync — batch durability at single-record disk
-// latency. Failure poisons the handle exactly like append: a torn frame
-// anywhere in the batch makes everything after it untrustworthy.
+// appendAll group-commits transitions: every record's frame in one
+// write, then one fsync — O(1) in sweep size, and a group costs the
+// disk latency of a single record. A failure poisons the handle: the
+// file may now hold a torn frame, and appending after it would turn a
+// recoverable tail into mid-stream corruption, so nothing more is
+// appended until a compaction rolls a clean generation.
 func (js *journalStore) appendAll(entries []stateEntry) error {
 	if js.dirty {
 		return errWalDirty
@@ -448,9 +419,10 @@ func (js *journalStore) compact(entries []stateEntry) error {
 		return fmt.Errorf("sweepd: committing journal manifest: %w", err)
 	}
 
-	// The new generation is live. Retire the old one and any migrated
-	// legacy checkpoint; failures here cost only disk space (fsck flags
-	// leftovers as stale, recovery ignores them).
+	// The new generation is live. Retire the old one, and a pre-journal
+	// sweep-state.json left by an older release (a fresh sweep over its
+	// dir supersedes it); failures here cost only disk space (fsck flags
+	// stale generations, recovery ignores them).
 	if js.wal != nil {
 		js.wal.Close()
 	}

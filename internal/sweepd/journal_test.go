@@ -57,7 +57,7 @@ func TestJournalAppendRecover(t *testing.T) {
 		testEntry("b", UnitQuarantined),
 		testEntry("c", UnitDone),
 	} {
-		if err := js.append(e); err != nil {
+		if err := js.appendAll([]stateEntry{e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,10 +91,10 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := js.append(testEntry("a", UnitDone)); err != nil {
+	if err := js.appendAll([]stateEntry{testEntry("a", UnitDone)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := js.append(testEntry("b", UnitDone)); err != nil {
+	if err := js.appendAll([]stateEntry{testEntry("b", UnitDone)}); err != nil {
 		t.Fatal(err)
 	}
 	gen := js.gen
@@ -149,7 +149,7 @@ func TestJournalMidStreamCorruption(t *testing.T) {
 	}
 	// Snapshot state: nothing. Journal: three records.
 	for _, id := range []string{"a", "b", "c"} {
-		if err := js.append(testEntry(id, UnitDone)); err != nil {
+		if err := js.appendAll([]stateEntry{testEntry(id, UnitDone)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +191,7 @@ func TestJournalCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen0 := js.gen
-	if err := js.append(testEntry("a", UnitDone)); err != nil {
+	if err := js.appendAll([]stateEntry{testEntry("a", UnitDone)}); err != nil {
 		t.Fatal(err)
 	}
 	if !js.shouldCompact(1) {
@@ -212,7 +212,7 @@ func TestJournalCompaction(t *testing.T) {
 		}
 	}
 	// Post-compaction appends land in the new journal and recover.
-	if err := js.append(testEntry("b", UnitDone)); err != nil {
+	if err := js.appendAll([]stateEntry{testEntry("b", UnitDone)}); err != nil {
 		t.Fatal(err)
 	}
 	js.Close()
@@ -226,41 +226,15 @@ func TestJournalCompaction(t *testing.T) {
 	}
 }
 
-// TestJournalLegacyMigration: a pre-journal sweep-state.json is folded
-// into generation 1 on resume and then retired.
-func TestJournalLegacyMigration(t *testing.T) {
-	dir := t.TempDir()
-	doc := stateFile{Units: []stateEntry{testEntry("a", UnitDone), testEntry("b", UnitPending)}}
-	data, _ := json.Marshal(doc)
-	if err := os.WriteFile(filepath.Join(dir, StateName), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	js, recovered, salv, err := openJournalOS(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer js.Close()
-	if salv != nil {
-		t.Fatalf("clean migration produced salvage: %+v", salv)
-	}
-	got := entryStates(recovered)
-	if got["a"] != UnitDone || got["b"] != UnitPending {
-		t.Fatalf("migrated %v", got)
-	}
-	if _, err := os.Stat(filepath.Join(dir, StateName)); err == nil {
-		t.Fatalf("legacy %s not retired after migration", StateName)
-	}
-	if got := readManifestGen(t, dir); got == 0 {
-		t.Fatal("no journal manifest after migration")
-	}
-}
-
-// TestJournalCorruptLegacyExplicit: resume over a damaged legacy state
-// file errors by name instead of silently starting a fresh sweep.
+// TestJournalCorruptLegacyExplicit: resume over a pre-journal state
+// dir errors by name instead of silently starting a fresh sweep, and
+// whether the file parses does not matter — the format is unsupported.
+// A fresh (non-resume) open over the same dir starts a journal.
 func TestJournalCorruptLegacyExplicit(t *testing.T) {
 	for name, content := range map[string]string{
 		"truncated": `{"units": [{"unit": {"id": "a"`,
 		"garbage":   "\x00\x01not json at all",
+		"valid":     `{"units": [{"unit": {"id": "a"}, "state": "done"}]}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -269,10 +243,18 @@ func TestJournalCorruptLegacyExplicit(t *testing.T) {
 			}
 			_, _, _, err := openJournalOS(dir)
 			if err == nil {
-				t.Fatal("corrupt legacy state resumed silently")
+				t.Fatal("pre-journal state resumed silently")
 			}
-			if !strings.Contains(err.Error(), StateName) {
-				t.Fatalf("error does not name the damaged file: %v", err)
+			if !strings.Contains(err.Error(), StateName) || !strings.Contains(err.Error(), "pre-journal state, unsupported") {
+				t.Fatalf("error does not name the unsupported file: %v", err)
+			}
+			js, recovered, _, err := openJournal(vfs.OS{}, dir, false, nil)
+			if err != nil {
+				t.Fatalf("fresh open over pre-journal dir: %v", err)
+			}
+			js.Close()
+			if len(recovered) != 0 {
+				t.Fatalf("fresh open replayed %v", entryStates(recovered))
 			}
 		})
 	}
@@ -287,7 +269,7 @@ func TestJournalFreshOpenIgnoresOldState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := js.append(testEntry("a", UnitDone)); err != nil {
+	if err := js.appendAll([]stateEntry{testEntry("a", UnitDone)}); err != nil {
 		t.Fatal(err)
 	}
 	oldGen := js.gen

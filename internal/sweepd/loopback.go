@@ -244,18 +244,15 @@ type FleetConfig struct {
 	// slow-loris trickles (LatencyClient).
 	Overload *faults.OverloadPlan
 	// Gate, when non-nil, routes every call through admission control
-	// (AdmittedClient) and receives the workers' breaker counters.
+	// (AdmittedClient).
 	Gate *Gate
 	// HerdStart releases every initial worker at the same instant — the
 	// thundering-herd shape — instead of letting goroutine scheduling
 	// stagger them.
 	HerdStart bool
-	// BatchCompletes, RetryBase, BreakerAfter, and BreakerCooldown are
-	// forwarded to each WorkerConfig.
-	BatchCompletes  bool
-	RetryBase       time.Duration
-	BreakerAfter    int
-	BreakerCooldown time.Duration
+	// BatchCompletes and RetryBase are forwarded to each WorkerConfig.
+	BatchCompletes bool
+	RetryBase      time.Duration
 	// Respawn replaces killed workers (fresh ID, fresh kill draw) while
 	// the sweep is unfinished, up to MaxRespawns (zero means 4× the
 	// fleet width).
@@ -274,8 +271,6 @@ type FleetReport struct {
 	// Spawned counts every worker ever started (initial + respawns);
 	// Killed counts chaos kills.
 	Spawned, Killed int
-	// Breaker aggregates every worker's circuit-breaker counters.
-	Breaker BreakerStats
 }
 
 // RunFleet drives an in-process fleet against the coordinator until the
@@ -319,8 +314,7 @@ func RunFleet(ctx context.Context, c *Coordinator, cfg FleetConfig) FleetReport 
 		// call holds its gate slot for the whole stall, the slow-loris
 		// resource exhaustion the queue bound must absorb — then the gate
 		// (the coordinator's front door on both transports), then network
-		// faults on the way there, then the worker's own breaker (added
-		// by NewWorker).
+		// faults on the way there.
 		var client Client = Loopback{C: c}
 		if cfg.Overload != nil {
 			client = &LatencyClient{Inner: client, Plan: cfg.Overload, Worker: id, Clock: clock}
@@ -337,7 +331,6 @@ func RunFleet(ctx context.Context, c *Coordinator, cfg FleetConfig) FleetReport 
 			ID: id, Client: client, Run: cfg.NewRunner(id),
 			Clock: clock, Jobs: cfg.Jobs, PollMax: cfg.PollMax,
 			RetryBase: cfg.RetryBase, BatchCompletes: cfg.BatchCompletes,
-			BreakerAfter: cfg.BreakerAfter, BreakerCooldown: cfg.BreakerCooldown,
 			KillAfterUnits: kill, Log: logw,
 		})
 		wg.Add(1)
@@ -348,16 +341,7 @@ func RunFleet(ctx context.Context, c *Coordinator, cfg FleetConfig) FleetReport 
 			case <-ctx.Done():
 				return
 			}
-			err := w.Run(ctx)
-			mu.Lock()
-			rep.Breaker.Trips += w.BreakerStats().Trips
-			rep.Breaker.FastFails += w.BreakerStats().FastFails
-			rep.Breaker.Probes += w.BreakerStats().Probes
-			mu.Unlock()
-			if cfg.Gate != nil {
-				cfg.Gate.RecordBreaker(w.BreakerStats())
-			}
-			if !errors.Is(err, ErrKilled) {
+			if err := w.Run(ctx); !errors.Is(err, ErrKilled) {
 				return
 			}
 			mu.Lock()

@@ -17,7 +17,8 @@
 //     quarantine artifacts). A heartbeat for a stale epoch tells the
 //     worker to abandon the unit: its lease expired and the unit now
 //     belongs to someone else.
-//   - POST /v1/complete: delivers the unit's outcome. Completion is
+//   - POST /v1/complete-batch: delivers one or more units' outcomes
+//     (a single completion is a one-item batch). Completion is
 //     accepted only from the current lease epoch, so a zombie worker
 //     resurfacing after a partition cannot double-merge a reassigned
 //     unit; re-delivery of an already-merged outcome under the same
@@ -163,6 +164,15 @@ type CompleteRequest struct {
 	DurationMS int64 `json:"duration_ms,omitempty"`
 }
 
+// completed is the request's outcome as one entry of a batch.
+func (r CompleteRequest) completed() CompletedUnit {
+	return CompletedUnit{
+		Unit: r.Unit, Epoch: r.Epoch, OK: r.OK, Result: r.Result,
+		Error: r.Error, Artifact: r.Artifact, Attempts: r.Attempts,
+		DurationMS: r.DurationMS,
+	}
+}
+
 // CompleteResponse reports whether the outcome was merged (or already
 // had been, idempotently). Accepted=false means the epoch was fenced
 // off: the unit belongs to another worker now and this outcome is
@@ -189,7 +199,7 @@ type CompletedUnit struct {
 // trip — the first rung of completion pipelining: a herd of finishing
 // workers costs one request per worker instead of one per unit, and
 // the coordinator merges the batch under a single lock acquisition
-// (and, in journal mode, a single fsync).
+// and a single fsync.
 type CompleteBatchRequest struct {
 	Worker string          `json:"worker"`
 	Units  []CompletedUnit `json:"units"`

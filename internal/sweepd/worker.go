@@ -39,12 +39,6 @@ type UnitRunner func(ctx context.Context, u Unit, progress func(note string)) Un
 // releasing anything, exactly the crash lease expiry exists to absorb.
 var ErrKilled = errors.New("sweepd: worker killed by chaos schedule")
 
-// ErrBreakerOpen is the circuit breaker's fast-fail: the coordinator
-// has failed enough consecutive calls that hammering it would only
-// deepen the outage, so calls are refused locally until the cooldown
-// admits a probe.
-var ErrBreakerOpen = errors.New("sweepd: circuit breaker open; coordinator not probed")
-
 // WorkerConfig tunes one worker.
 type WorkerConfig struct {
 	// ID names the worker in leases and failure records.
@@ -60,8 +54,11 @@ type WorkerConfig struct {
 	Jobs int
 	// PollMax caps the idle backoff between lease polls; zero means 2s.
 	PollMax time.Duration
-	// RetryBase is the first rung of the jittered exponential transport
-	// backoff; zero means 50ms.
+	// RetryBase is the first rung of the full-jitter exponential
+	// transport backoff, which PollMax caps; zero means 50ms. It is the
+	// worker's only defense against a failing or overloaded
+	// coordinator: each consecutive failure doubles the ceiling of the
+	// next random wait, up to PollMax.
 	RetryBase time.Duration
 	// Seed feeds the jitter stream; zero derives one from ID, so a
 	// fleet of workers started identically still spreads its retries.
@@ -77,14 +74,6 @@ type WorkerConfig struct {
 	// BatchLinger is how long the batch collector waits after the first
 	// outcome for siblings to finish; zero means 15ms.
 	BatchLinger time.Duration
-	// BreakerAfter is how many consecutive transport failures trip the
-	// circuit breaker; zero means 8, negative disables the breaker.
-	// Shed responses (OverloadError) count as successes — an overloaded
-	// coordinator is alive, and backoff, not the breaker, handles it.
-	BreakerAfter int
-	// BreakerCooldown is how long an open breaker waits before
-	// half-opening on a single probe; zero means 2s.
-	BreakerCooldown time.Duration
 	// KillAfterUnits arms the chaos kill: the worker dies mid-trial
 	// while running its nth started unit. Zero disables.
 	KillAfterUnits int
@@ -101,8 +90,7 @@ type WorkerConfig struct {
 // in-flight units and releases their leases, so the coordinator can
 // reassign them immediately instead of waiting out the TTL.
 type Worker struct {
-	cfg     WorkerConfig
-	breaker *breakerClient
+	cfg WorkerConfig
 
 	rngMu sync.Mutex
 	rng   *sim.Rand
@@ -138,35 +126,10 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.BatchLinger <= 0 {
 		cfg.BatchLinger = 15 * time.Millisecond
 	}
-	if cfg.BreakerAfter == 0 {
-		cfg.BreakerAfter = 8
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 2 * time.Second
-	}
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
 	}
-	w := &Worker{cfg: cfg, rng: sim.NewRand(cfg.Seed)}
-	if cfg.BreakerAfter > 0 {
-		w.breaker = &breakerClient{
-			inner:    cfg.Client,
-			clock:    cfg.Clock,
-			after:    cfg.BreakerAfter,
-			cooldown: cfg.BreakerCooldown,
-		}
-		w.cfg.Client = w.breaker
-	}
-	return w
-}
-
-// BreakerStats reports the worker's circuit-breaker activity (zero when
-// the breaker is disabled).
-func (w *Worker) BreakerStats() BreakerStats {
-	if w.breaker == nil {
-		return BreakerStats{}
-	}
-	return w.breaker.snapshot()
+	return &Worker{cfg: cfg, rng: sim.NewRand(cfg.Seed)}
 }
 
 // newRetrier derives an independent jittered-backoff schedule. Each
@@ -225,15 +188,8 @@ func (w *Worker) Run(ctx context.Context) error {
 			if runCtx.Err() != nil {
 				return runCtx.Err()
 			}
-			// Transport fault, shed, or open breaker: back off and retry.
-			// A shed carries the coordinator's own hint — honor it
-			// (stretched, so the herd does not re-synchronize on it).
-			wait := retry.next()
-			var oe *OverloadError
-			if errors.As(err, &oe) {
-				wait = retry.stretch(oe.RetryAfter)
-			}
-			if err := w.cfg.Clock.Sleep(runCtx, wait); err != nil {
+			// Transport fault or shed: back off and retry.
+			if err := w.cfg.Clock.Sleep(runCtx, retry.after(err)); err != nil {
 				return err
 			}
 			continue
@@ -380,15 +336,16 @@ func (w *Worker) execute(runCtx, parent context.Context, lu LeasedUnit, sink *co
 	if res.DurationMS == 0 {
 		res.DurationMS = w.cfg.Clock.Now().Sub(start).Milliseconds()
 	}
+	req := CompleteRequest{
+		Worker: w.cfg.ID, Unit: lu.Unit.ID, Epoch: lu.Epoch,
+		OK: res.OK, Result: res.Result, Error: res.Error,
+		Artifact: res.Artifact, Attempts: res.Attempts, DurationMS: res.DurationMS,
+	}
 	if sink != nil {
-		sink.ch <- CompletedUnit{
-			Unit: lu.Unit.ID, Epoch: lu.Epoch,
-			OK: res.OK, Result: res.Result, Error: res.Error,
-			Artifact: res.Artifact, Attempts: res.Attempts, DurationMS: res.DurationMS,
-		}
+		sink.ch <- req.completed()
 		return
 	}
-	w.complete(runCtx, lu, res)
+	w.complete(runCtx, req)
 }
 
 // completionSink collects one lease round's outcomes for batched
@@ -438,77 +395,53 @@ func (w *Worker) collectCompletions(ctx context.Context, s *completionSink) {
 				break drain
 			}
 		}
-		w.deliverBatch(ctx, retry, batch)
+		req := CompleteBatchRequest{Worker: w.cfg.ID, Units: batch}
+		w.deliver(ctx, retry, batch, func() ([]bool, error) {
+			resp, err := w.cfg.Client.CompleteBatch(ctx, req)
+			return resp.Accepted, err
+		})
 		if closed {
 			return
 		}
 	}
 }
 
-// deliverBatch ships one CompleteBatch with the same retry/fencing
-// discipline as complete: give-up is safe (lease expiry re-earns the
-// outcome), redelivery is absorbed idempotently, and a shed response's
-// hint is honored.
-func (w *Worker) deliverBatch(ctx context.Context, retry *retrier, batch []CompletedUnit) {
-	req := CompleteBatchRequest{Worker: w.cfg.ID, Units: batch}
+// complete delivers one outcome through Client.Complete.
+func (w *Worker) complete(ctx context.Context, req CompleteRequest) {
+	retry := w.newRetrier("complete/" + string(req.Unit))
+	w.deliver(ctx, retry, []CompletedUnit{req.completed()}, func() ([]bool, error) {
+		resp, err := w.cfg.Client.Complete(ctx, req)
+		return []bool{resp.Accepted}, err
+	})
+}
+
+// deliver is the one completion retry loop, shared by single and
+// batched delivery: send reports each of units' acceptance, and a
+// transport fault or shed is retried with backoff up to CompleteRetries
+// times. Giving up is safe — an undelivered outcome is re-earned after
+// the lease expires — and so is redelivery: if an earlier attempt
+// actually landed (a dropped response), the coordinator's idempotent
+// accept absorbs the retry.
+func (w *Worker) deliver(ctx context.Context, retry *retrier, units []CompletedUnit, send func() ([]bool, error)) {
 	for i := 0; i <= w.cfg.CompleteRetries; i++ {
-		resp, err := w.cfg.Client.CompleteBatch(ctx, req)
+		accepted, err := send()
 		if w.dead.Load() || ctx.Err() != nil {
 			return
 		}
 		if err == nil {
-			for j, accepted := range resp.Accepted {
-				if !accepted && j < len(batch) {
-					fmt.Fprintf(w.cfg.Log, "%s: completion of %s fenced off (stale epoch %d)\n", w.cfg.ID, batch[j].Unit, batch[j].Epoch)
+			for j, ok := range accepted {
+				if !ok && j < len(units) {
+					fmt.Fprintf(w.cfg.Log, "%s: completion of %s fenced off (stale epoch %d)\n", w.cfg.ID, units[j].Unit, units[j].Epoch)
 				}
 			}
 			retry.reset()
 			return
 		}
-		wait := retry.next()
-		var oe *OverloadError
-		if errors.As(err, &oe) {
-			wait = retry.stretch(oe.RetryAfter)
-		}
-		if err := w.cfg.Clock.Sleep(ctx, wait); err != nil {
+		if err := w.cfg.Clock.Sleep(ctx, retry.after(err)); err != nil {
 			return
 		}
 	}
-	fmt.Fprintf(w.cfg.Log, "%s: could not deliver batch of %d completion(s); leaving them to lease expiry\n", w.cfg.ID, len(batch))
-}
-
-// complete delivers the outcome, retrying transport faults with backoff.
-// Giving up is safe: the undelivered outcome is re-earned after the
-// lease expires, and if an earlier delivery actually landed (a dropped
-// response), the coordinator's idempotent accept absorbs the retry.
-func (w *Worker) complete(ctx context.Context, lu LeasedUnit, res UnitResult) {
-	req := CompleteRequest{
-		Worker: w.cfg.ID, Unit: lu.Unit.ID, Epoch: lu.Epoch,
-		OK: res.OK, Result: res.Result, Error: res.Error,
-		Artifact: res.Artifact, Attempts: res.Attempts, DurationMS: res.DurationMS,
-	}
-	retry := w.newRetrier("complete/" + string(lu.Unit.ID))
-	for i := 0; i <= w.cfg.CompleteRetries; i++ {
-		resp, err := w.cfg.Client.Complete(ctx, req)
-		if w.dead.Load() || ctx.Err() != nil {
-			return
-		}
-		if err == nil {
-			if !resp.Accepted {
-				fmt.Fprintf(w.cfg.Log, "%s: completion of %s fenced off (stale epoch %d)\n", w.cfg.ID, lu.Unit.ID, lu.Epoch)
-			}
-			return
-		}
-		wait := retry.next()
-		var oe *OverloadError
-		if errors.As(err, &oe) {
-			wait = retry.stretch(oe.RetryAfter)
-		}
-		if err := w.cfg.Clock.Sleep(ctx, wait); err != nil {
-			return
-		}
-	}
-	fmt.Fprintf(w.cfg.Log, "%s: could not deliver completion of %s; leaving it to lease expiry\n", w.cfg.ID, lu.Unit.ID)
+	fmt.Fprintf(w.cfg.Log, "%s: could not deliver %d completion(s); leaving them to lease expiry\n", w.cfg.ID, len(units))
 }
 
 // retrier is a full-jitter exponential backoff schedule: the nth wait
@@ -541,6 +474,18 @@ func (r *retrier) next() time.Duration {
 // reset rewinds the schedule after a success.
 func (r *retrier) reset() { r.n = 0 }
 
+// after is the wait before retrying a call that failed with err. A shed
+// carries the coordinator's own hint, which is honored (stretched, so
+// the herd does not re-synchronize on it); any other failure takes the
+// next backoff rung.
+func (r *retrier) after(err error) time.Duration {
+	var oe *OverloadError
+	if errors.As(err, &oe) {
+		return r.stretch(oe.RetryAfter)
+	}
+	return r.next()
+}
+
 // stretch jitters a server-supplied hint upward by as much as half —
 // honoring a shared Retry-After verbatim would just re-synchronize the
 // herd on the server's own clock.
@@ -549,132 +494,4 @@ func (r *retrier) stretch(d time.Duration) time.Duration {
 		return r.next()
 	}
 	return d + time.Duration(r.rng.IntN(int(d/2)+1))
-}
-
-// breaker states.
-const (
-	breakerClosed = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-// breakerClient wraps a Client in a circuit breaker: after `after`
-// consecutive transport failures it opens, fast-failing every call
-// locally for `cooldown`, then half-opens on exactly one probe — a
-// down coordinator gets one polite knock per cooldown instead of a
-// fleet-wide hammering. Shed responses (OverloadError) and the caller's
-// own cancellation never count as failures: the first means the
-// coordinator is alive, the second says nothing about it at all.
-type breakerClient struct {
-	inner    Client
-	clock    Clock
-	after    int
-	cooldown time.Duration
-
-	mu          sync.Mutex
-	state       int
-	consecutive int
-	openedAt    time.Time
-	st          BreakerStats
-}
-
-// allow gates one call: nil to proceed (possibly as the half-open
-// probe), ErrBreakerOpen to fast-fail.
-func (b *breakerClient) allow() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return nil
-	case breakerOpen:
-		if b.clock.Now().Sub(b.openedAt) >= b.cooldown {
-			b.state = breakerHalfOpen
-			b.st.Probes++
-			return nil
-		}
-	default:
-		// Half-open with the probe already in flight: its verdict
-		// decides for everyone, so extra calls wait out the probe.
-	}
-	b.st.FastFails++
-	return ErrBreakerOpen
-}
-
-// record books one call's outcome.
-func (b *breakerClient) record(err error) {
-	var oe *OverloadError
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return // the caller hung up; the coordinator was never heard from
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err == nil || errors.As(err, &oe) {
-		b.state = breakerClosed
-		b.consecutive = 0
-		return
-	}
-	b.consecutive++
-	if b.state == breakerHalfOpen || (b.state == breakerClosed && b.consecutive >= b.after) {
-		b.state = breakerOpen
-		b.openedAt = b.clock.Now()
-		b.st.Trips++
-		b.consecutive = 0
-	}
-}
-
-// snapshot copies the counters.
-func (b *breakerClient) snapshot() BreakerStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.st
-}
-
-// Lease implements Client.
-func (b *breakerClient) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
-	if err := b.allow(); err != nil {
-		return LeaseResponse{}, err
-	}
-	resp, err := b.inner.Lease(ctx, req)
-	b.record(err)
-	return resp, err
-}
-
-// Heartbeat implements Client.
-func (b *breakerClient) Heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
-	if err := b.allow(); err != nil {
-		return HeartbeatResponse{}, err
-	}
-	resp, err := b.inner.Heartbeat(ctx, req)
-	b.record(err)
-	return resp, err
-}
-
-// Complete implements Client.
-func (b *breakerClient) Complete(ctx context.Context, req CompleteRequest) (CompleteResponse, error) {
-	if err := b.allow(); err != nil {
-		return CompleteResponse{}, err
-	}
-	resp, err := b.inner.Complete(ctx, req)
-	b.record(err)
-	return resp, err
-}
-
-// CompleteBatch implements Client.
-func (b *breakerClient) CompleteBatch(ctx context.Context, req CompleteBatchRequest) (CompleteBatchResponse, error) {
-	if err := b.allow(); err != nil {
-		return CompleteBatchResponse{}, err
-	}
-	resp, err := b.inner.CompleteBatch(ctx, req)
-	b.record(err)
-	return resp, err
-}
-
-// Release implements Client.
-func (b *breakerClient) Release(ctx context.Context, req ReleaseRequest) (ReleaseResponse, error) {
-	if err := b.allow(); err != nil {
-		return ReleaseResponse{}, err
-	}
-	resp, err := b.inner.Release(ctx, req)
-	b.record(err)
-	return resp, err
 }

@@ -2,7 +2,6 @@ package sweepd
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,136 +67,6 @@ func TestRetrierBackoffShape(t *testing.T) {
 		if got < hint || got > hint+hint/2 {
 			t.Fatalf("stretch(%v) = %v, want within [hint, 1.5×hint]", hint, got)
 		}
-	}
-}
-
-// flakyClient fails every call with a transport error until healed.
-type flakyClient struct {
-	healed atomic.Bool
-	calls  atomic.Int64
-}
-
-func (f *flakyClient) outcome() error {
-	f.calls.Add(1)
-	if f.healed.Load() {
-		return nil
-	}
-	return errors.New("connection refused")
-}
-
-func (f *flakyClient) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
-	return LeaseResponse{Done: true}, f.outcome()
-}
-func (f *flakyClient) Heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
-	return HeartbeatResponse{}, f.outcome()
-}
-func (f *flakyClient) Complete(ctx context.Context, req CompleteRequest) (CompleteResponse, error) {
-	return CompleteResponse{}, f.outcome()
-}
-func (f *flakyClient) CompleteBatch(ctx context.Context, req CompleteBatchRequest) (CompleteBatchResponse, error) {
-	return CompleteBatchResponse{}, f.outcome()
-}
-func (f *flakyClient) Release(ctx context.Context, req ReleaseRequest) (ReleaseResponse, error) {
-	return ReleaseResponse{}, f.outcome()
-}
-
-// TestBreakerTripsFastFailsAndRecovers walks the breaker through its
-// whole state machine on a manual clock: consecutive transport failures
-// trip it open, calls inside the cooldown fast-fail locally (the inner
-// client is never touched), the cooldown admits exactly one probe, a
-// failed probe re-trips, and a successful probe closes it again.
-func TestBreakerTripsFastFailsAndRecovers(t *testing.T) {
-	clk := NewManualClock(time.Unix(0, 0))
-	inner := &flakyClient{}
-	b := &breakerClient{inner: inner, clock: clk, after: 3, cooldown: time.Second}
-	ctx := context.Background()
-
-	// Three consecutive failures trip it.
-	for i := 0; i < 3; i++ {
-		if _, err := b.Lease(ctx, LeaseRequest{}); err == nil {
-			t.Fatalf("call %d: inner failure not surfaced", i)
-		}
-	}
-	if st := b.snapshot(); st.Trips != 1 {
-		t.Fatalf("after %d failures: %+v, want 1 trip", 3, st)
-	}
-
-	// Open: calls fast-fail without touching the coordinator.
-	before := inner.calls.Load()
-	for i := 0; i < 5; i++ {
-		if _, err := b.Heartbeat(ctx, HeartbeatRequest{}); !errors.Is(err, ErrBreakerOpen) {
-			t.Fatalf("open-breaker call %d returned %v, want ErrBreakerOpen", i, err)
-		}
-	}
-	if got := inner.calls.Load(); got != before {
-		t.Fatalf("open breaker let %d calls through", got-before)
-	}
-	if st := b.snapshot(); st.FastFails != 5 {
-		t.Fatalf("fast fails %d, want 5", st.FastFails)
-	}
-
-	// Cooldown over: one probe goes through; it fails, so the breaker
-	// re-trips immediately (no three-strike grace in half-open).
-	clk.Advance(time.Second)
-	if _, err := b.Lease(ctx, LeaseRequest{}); err == nil {
-		t.Fatal("failed probe reported success")
-	}
-	if st := b.snapshot(); st.Probes != 1 || st.Trips != 2 {
-		t.Fatalf("after failed probe: %+v, want 1 probe and 2 trips", st)
-	}
-	if _, err := b.Lease(ctx, LeaseRequest{}); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("call right after failed probe returned %v, want ErrBreakerOpen", err)
-	}
-
-	// Heal the coordinator; the next probe closes the breaker for good.
-	inner.healed.Store(true)
-	clk.Advance(time.Second)
-	if _, err := b.Lease(ctx, LeaseRequest{}); err != nil {
-		t.Fatalf("healed probe failed: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := b.Complete(ctx, CompleteRequest{}); err != nil {
-			t.Fatalf("closed-breaker call %d: %v", i, err)
-		}
-	}
-	if st := b.snapshot(); st.Probes != 2 || st.Trips != 2 {
-		t.Fatalf("after recovery: %+v, want 2 probes and no new trip", st)
-	}
-}
-
-// TestBreakerIgnoresShedAndCancel: OverloadError (the coordinator is
-// alive, just shedding) resets the failure streak, and the caller's own
-// cancellation counts as nothing at all.
-func TestBreakerIgnoresShedAndCancel(t *testing.T) {
-	clk := NewManualClock(time.Unix(0, 0))
-	b := &breakerClient{inner: &flakyClient{}, clock: clk, after: 2, cooldown: time.Second}
-
-	b.record(errors.New("transport down")) // streak 1 of 2
-	b.record(&OverloadError{Endpoint: EndpointLease, RetryAfter: time.Second})
-	b.record(errors.New("transport down")) // streak back to 1
-	if st := b.snapshot(); st.Trips != 0 {
-		t.Fatalf("shed response did not reset the streak: %+v", st)
-	}
-	b.record(context.Canceled) // neutral: says nothing about the server
-	b.record(errors.New("transport down"))
-	if st := b.snapshot(); st.Trips != 1 {
-		t.Fatalf("streak accounting wrong after cancel: %+v", st)
-	}
-}
-
-// TestWorkerDisablesBreaker: a negative BreakerAfter removes the
-// breaker entirely — the client chain is untouched and stats are zero.
-func TestWorkerDisablesBreaker(t *testing.T) {
-	w := NewWorker(WorkerConfig{
-		ID: "nobreaker", Client: Loopback{},
-		Run:          func(ctx context.Context, u Unit, p func(string)) UnitResult { return UnitResult{} },
-		BreakerAfter: -1,
-	})
-	if w.breaker != nil {
-		t.Fatal("breaker installed despite BreakerAfter < 0")
-	}
-	if st := w.BreakerStats(); st != (BreakerStats{}) {
-		t.Fatalf("disabled breaker reported stats %+v", st)
 	}
 }
 
